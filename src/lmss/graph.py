@@ -270,9 +270,13 @@ def parse_edge_list_text(text: str) -> Graph:
             continue
         tokens = line.split()
         if n is None:
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
+            # isdecimal, not isdigit: "²" is a digit that int() refuses
+            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise EdgeListError('expected header "n <count>"', lineno)
-            n = int(tokens[1])
+            try:
+                n = int(tokens[1])
+            except ValueError:  # more digits than int() converts from text
+                raise EdgeListError("vertex count too large", lineno) from None
             continue
         if len(tokens) != 2:
             raise EdgeListError('expected an edge line "u v"', lineno)

@@ -81,7 +81,10 @@ def decode(data: bytes) -> tuple[int, list[int]]:
     the adjacency body is an error.
     """
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as err:
+            raise Graph6Error("non-ASCII character", err.start) from None
     if data.startswith(HEADER):
         data = data[len(HEADER) :]
     if data.endswith(b"\r\n"):

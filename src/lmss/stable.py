@@ -4,8 +4,20 @@ alpha() is an exact branch-and-bound that branches in/out on a vertex of
 maximum residual degree and prunes with a greedy clique-cover upper bound.
 The stable-set stream inserts vertices in increasing order, so each stable
 set is produced exactly once and non-stable candidates never materialize.
-psi() filters that stream through the local-maximum test, memoizing the
-induced-alpha calls by closed-neighborhood mask.
+psi() filters that stream through the local-maximum test, which
+is_local_max_stable() shares. The test decides whether alpha(N[S])
+exceeds |S| without computing alpha(N[S]):
+
+* a vertex of N(S) is private to v in S when v is its only neighbour in
+  S; if some v has two non-adjacent private neighbours a and b, then
+  (S - v) + {a, b} is a larger stable set and S is rejected at once;
+* otherwise the branch-and-bound runs floored: it starts from best = |S|
+  (S is stable in N[S]) and stops at the first larger stable set, so a
+  greedy clique cover of N[S] with |S| cliques accepts S at the root.
+
+Outcomes are memoized by closed-neighborhood mask, as "alpha = k" or as
+"alpha >= k"; a later set with the same N[S] and fewer than k vertices is
+rejected without a search.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bitset import bits, canonical_key, full_mask
-from .graph import Graph, closed_neighborhood
+from .graph import Graph
 
 
 class SetFamily:
@@ -95,14 +107,22 @@ def _clique_cover_bound(adj: tuple[int, ...], avail: int) -> int:
     return count
 
 
-def _alpha_masked(adj: tuple[int, ...], avail: int) -> int:
-    """Exact stability number of the subgraph induced by ``avail``."""
-    best = 0
+def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) -> int:
+    """Stability number of the subgraph induced by ``avail``.
 
-    def bb(rem: int, size: int) -> None:
+    Without ``floor`` the result is exact. With ``floor`` k, which must not
+    exceed that number, the search starts from best = k and stops at the
+    first stable set larger than k: the result is k when the stability
+    number is k, and otherwise a lower bound on it greater than k.
+    """
+    best = 0 if floor is None else floor
+    decide = floor is not None
+
+    def bb(rem: int, size: int) -> bool:
+        """Search ``rem``; True once a decision search may stop."""
         nonlocal best
         if size + rem.bit_count() <= best:
-            return
+            return False
         # pick the vertex of maximum degree inside rem
         v = -1
         vdeg = -1
@@ -117,15 +137,12 @@ def _alpha_masked(adj: tuple[int, ...], avail: int) -> int:
                 v = u
         if vdeg <= 0:
             # all remaining vertices are isolated here; take them
-            total = size + rem.bit_count()
-            if total > best:
-                best = total
-            return
+            best = size + rem.bit_count()
+            return decide
         if size + _clique_cover_bound(adj, rem) <= best:
-            return
+            return False
         vbit = 1 << v
-        bb(rem & ~(adj[v] | vbit), size + 1)
-        bb(rem ^ vbit, size)
+        return bb(rem & ~(adj[v] | vbit), size + 1) or bb(rem ^ vbit, size)
 
     bb(avail, 0)
     return best
@@ -142,34 +159,59 @@ def omega(g: Graph) -> SetFamily:
     return SetFamily(g.n, (s for s in enumerate_stable_sets(g) if s.bit_count() == a))
 
 
+def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]]) -> bool:
+    """True iff the stable set ``s`` is maximum within its closed neighborhood.
+
+    ``memo`` maps a closed neighborhood to (k, True) when its stability
+    number is k, or to (k, False) when that number is at least k.
+    """
+    once = twice = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        nbrs = adj[low.bit_length() - 1]
+        twice |= once & nbrs
+        once |= nbrs
+        rest ^= low
+    hood = s | once
+    k = s.bit_count()
+    known = memo.get(hood)
+    if known is not None:
+        bound, exact = known
+        if exact or k < bound:
+            return k == bound
+    # a vertex of S with two non-adjacent private neighbours swaps 1 for 2
+    private = once & ~twice
+    rest = s
+    while rest:
+        low = rest & -rest
+        cand = adj[low.bit_length() - 1] & private
+        rest ^= low
+        while cand:
+            lu = cand & -cand
+            cand ^= lu
+            if cand & ~adj[lu.bit_length() - 1]:
+                memo[hood] = (k + 1, False)
+                return False
+    a = _alpha_masked(adj, hood, k)
+    memo[hood] = (a, a == k)
+    return a == k
+
+
 def is_local_max_stable(g: Graph, s: int) -> bool:
     """True iff ``s`` is stable and maximum within its closed neighborhood.
 
     The empty set qualifies: its closed neighborhood induces the empty
     graph, whose stability number is 0.
     """
-    if not is_stable(g, s):
-        return False
-    hood = closed_neighborhood(g, s)
-    return _alpha_masked(g.adj, hood) == s.bit_count()
+    return is_stable(g, s) and _is_local_max(g.adj, s, {})
 
 
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
     adj = g.adj
-    cache: dict[int, int] = {}
-    members = []
-    for s in enumerate_stable_sets(g):
-        hood = s
-        for v in bits(s):
-            hood |= adj[v]
-        a = cache.get(hood)
-        if a is None:
-            a = _alpha_masked(adj, hood)
-            cache[hood] = a
-        if a == s.bit_count():
-            members.append(s)
-    return SetFamily(g.n, members)
+    memo: dict[int, tuple[int, bool]] = {}
+    return SetFamily(g.n, [s for s in enumerate_stable_sets(g) if _is_local_max(adj, s, memo)])
 
 
 def min_nonempty_size(family: SetFamily) -> int | None:

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _strategies import graphs
 from lmss.graph import (
@@ -231,6 +232,30 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list_text("n 3\n1 1\n")
     with pytest.raises(EdgeListError):
         parse_edge_list_text("# nothing\n")
+    with pytest.raises(EdgeListError, match="line 1"):
+        parse_edge_list_text("n \u00b2")  # a digit that is not a decimal
+    with pytest.raises(EdgeListError, match="too large"):
+        parse_edge_list_text("n " + "9" * 5000)
+
+
+# number-like text, with signs, underscores and non-ASCII digits ("²", "٣")
+_numberish = "0123456789 -+_#\n\u00b2\u0663"
+edge_list_texts = st.one_of(
+    st.text(),
+    # a vertex count of at most three characters keeps the graphs small
+    st.builds("n {}\n{}".format, st.text(_numberish, max_size=3), st.text()),
+    st.builds("n {}\n{}".format, st.text(_numberish, max_size=3), st.text(_numberish)),
+)
+
+
+@given(edge_list_texts)
+@settings(max_examples=300)
+def test_edge_list_parser_raises_only_its_typed_error(text):
+    try:
+        g = parse_edge_list_text(text)
+    except EdgeListError:
+        return
+    validate(g)
 
 
 def test_vertex_set_syntax():

@@ -2,9 +2,12 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _strategies import graphs
+from lmss import graph6
 from lmss.graph import (
+    Graph,
     Graph6Error,
     edge_count,
     from_edge_list,
@@ -99,6 +102,25 @@ def test_out_of_range_byte_reports_offset():
     with pytest.raises(Graph6Error) as err:
         parse_graph6(bytes([67, 10, 104]))
     assert err.value.offset == 1
+
+
+def test_non_ascii_text_reports_offset():
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6("Ch\u00e9")
+    assert err.value.offset == 2
+    with pytest.raises(Graph6Error):
+        parse_graph6("\u00e9")
+
+
+# b"C" + body declares four vertices, so the body decoder sees arbitrary bytes
+@given(st.one_of(st.binary(), st.text(), st.binary().map(lambda b: b"C" + b)))
+@settings(max_examples=300)
+def test_decode_raises_only_its_typed_error(data):
+    try:
+        n, adj = graph6.decode(data)
+    except Graph6Error:
+        return
+    validate(Graph(n, tuple(adj)))
 
 
 def test_bad_size_prefix():

@@ -2,12 +2,15 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _strategies import graphs
+from lmss import stable
 from lmss.graph import (
     complete,
     cycle,
     edgeless,
+    from_edge_list,
     named_fixture,
     parse_vertex_set,
     path,
@@ -27,6 +30,7 @@ from lmss.stable import (
 from lmss.theorems import corpus_upto
 from oracles import (
     brute_alpha,
+    brute_alpha_table,
     brute_psi,
     brute_stable_sets,
     literal_psi,
@@ -64,6 +68,27 @@ def test_alpha_on_exhaustive_small_corpus():
 @settings(max_examples=120)
 def test_alpha_matches_naive(g):
     assert alpha(g) == brute_alpha(g)
+
+
+@st.composite
+def floored_searches(draw):
+    """A graph, a vertex subset ``avail`` and a floor k <= alpha(avail)."""
+    g = draw(graphs(max_n=10))
+    avail = draw(st.integers(0, (1 << g.n) - 1))
+    a = brute_alpha_table(g)[avail]
+    return g, avail, a, draw(st.integers(0, a))
+
+
+@given(floored_searches())
+@settings(max_examples=200)
+def test_floored_search_decides_against_oracle(case):
+    g, avail, a, k = case
+    assert stable._alpha_masked(g.adj, avail) == a
+    found = stable._alpha_masked(g.adj, avail, k)
+    if a == k:
+        assert found == k
+    else:
+        assert k < found <= a
 
 
 @pytest.mark.parametrize("n,seed", [(18, 3), (20, 4)])
@@ -110,6 +135,35 @@ def test_local_max_facts():
     assert not is_local_max_stable(W, wset("{a,b}"))  # not even stable
 
 
+@given(graphs(max_n=8))
+@settings(max_examples=60)
+def test_is_local_max_stable_matches_naive_on_every_subset(g):
+    members = brute_psi(g)
+    for s in range(1 << g.n):
+        assert is_local_max_stable(g, s) == (s in members)
+
+
+def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
+    # star with centre 0 and leaves 1, 2: {0} and {1,2} share N[S] = {0,1,2}
+    star = from_edge_list(3, [(0, 1), (0, 2)])
+    searches = []
+    search = stable._alpha_masked
+
+    def counted(adj, avail, floor=None):
+        searches.append((avail, floor))
+        return search(adj, avail, floor)
+
+    monkeypatch.setattr(stable, "_alpha_masked", counted)
+    memo = {}
+    assert not stable._is_local_max(star.adj, 0b001, memo)
+    assert searches == []  # leaves 1 and 2 are private to 0 and non-adjacent
+    assert memo == {0b111: (2, False)}
+    assert stable._is_local_max(star.adj, 0b110, memo)
+    assert searches == [(0b111, 2)]
+    assert memo == {0b111: (2, True)}
+    assert psi(star).members == (0, 0b010, 0b100, 0b110)
+
+
 def test_psi_p4_frozen():
     fam = psi(path(4))
     assert fam.members == (0, 0b0001, 0b1000, 0b0101, 0b1001, 0b1010)
@@ -145,8 +199,8 @@ def test_psi_on_exhaustive_small_corpus():
         assert set(psi(g).members) == brute_psi(g)
 
 
-@given(graphs(max_n=8))
-@settings(max_examples=80)
+@given(graphs(max_n=12))
+@settings(max_examples=150)
 def test_psi_matches_naive(g):
     assert set(psi(g).members) == brute_psi(g)
 
