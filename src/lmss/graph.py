@@ -257,10 +257,16 @@ def parse_graph6(data: bytes | str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+# The header's count sizes the adjacency list before any edge is read, so
+# it is bounded; the paper's instances have at most 40 vertices.
+MAX_EDGE_LIST_VERTICES = 1 << 16
+
+
 def parse_edge_list_text(text: str) -> Graph:
     """Plain text format: first line "n <count>", then one "u v" pair per line.
 
     '#' starts a comment (whole line or trailing); blank lines are skipped.
+    A count above ``MAX_EDGE_LIST_VERTICES`` is an ``EdgeListError``.
     """
     n = None
     pairs: list[tuple[int, int]] = []
@@ -276,7 +282,10 @@ def parse_edge_list_text(text: str) -> Graph:
             try:
                 n = int(tokens[1])
             except ValueError:  # more digits than int() converts from text
-                raise EdgeListError("vertex count too large", lineno) from None
+                n = MAX_EDGE_LIST_VERTICES + 1
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise EdgeListError(
+                    f"vertex count too large (at most {MAX_EDGE_LIST_VERTICES})", lineno)
             continue
         if len(tokens) != 2:
             raise EdgeListError('expected an edge line "u v"', lineno)

@@ -4,6 +4,14 @@ A family is checked for accessibility (every nonempty member can drop one
 element and stay a member) and exchange (a member one larger than another
 can donate an element). Witnesses are the canonically smallest failures,
 so verdicts are reproducible test anchors.
+
+Both axioms are read from one pass over the members that builds the
+extension map ext(Y) = {v not in Y : Y + v is a member} for every member
+Y: each member Z ORs v into ext(Z - v) for every v whose removal stays in
+the family, and Z is accessible when some such v exists. A pair (X, Y)
+with |X| = |Y| + 1 then fails exchange exactly when X & ext(Y) == 0, and
+members of one size with equal ext masks fail against the same X, so
+only the first of each group (the canonically smallest) is tried.
 """
 
 from __future__ import annotations
@@ -45,39 +53,62 @@ def _require_empty(f: SetFamily) -> None:
         raise ValueError("family violates the contract: the empty set is not a member")
 
 
-def check_accessibility(f: SetFamily) -> int | None:
-    """None on pass, else the canonically smallest member with no removable element."""
+def _extension_map(f: SetFamily) -> tuple[dict[int, int], int | None]:
+    """ext(Y) for every member Y, and the first inaccessible member (or None).
+
+    Members are visited in canonical order, so the first nonempty member
+    with no removable element is the canonically smallest one.
+    """
     _require_empty(f)
-    for x in f.members:
-        if not x:
-            continue
-        if not any((x ^ (1 << v)) in f for v in bits(x)):
-            return x
-    return None
+    ext = dict.fromkeys(f.members, 0)
+    stuck = None
+    for z in f.members:
+        accessible = not z
+        rest = z
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = z ^ low
+            if y in ext:
+                ext[y] |= low
+                accessible = True
+        if not accessible and stuck is None:
+            stuck = z
+    return ext, stuck
 
 
-def check_exchange(f: SetFamily) -> tuple[int, int] | None:
-    """None on pass, else the canonically smallest failing pair (X, Y)."""
-    _require_empty(f)
-    by_size: dict[int, list[int]] = {}
-    for m in f.members:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for x in f.members:
-        k = x.bit_count()
-        if k == 0:
-            continue
-        for y in by_size.get(k - 1, ()):
-            if not any((y | (1 << v)) in f for v in bits(x & ~y)):
+def _exchange_failure(ext: dict[int, int]) -> tuple[int, int] | None:
+    """The canonically smallest (X, Y) with |X| = |Y| + 1 and X & ext(Y) == 0.
+
+    ``ext`` is keyed by the members in canonical order.
+    """
+    # size -> {ext mask: first member with it}; insertion follows canonical order
+    groups: dict[int, dict[int, int]] = {}
+    for y, e in ext.items():
+        groups.setdefault(y.bit_count(), {}).setdefault(e, y)
+    for x in ext:
+        for e, y in groups.get(x.bit_count() - 1, {}).items():
+            if not x & e:
                 return x, y
     return None
 
 
+def check_accessibility(f: SetFamily) -> int | None:
+    """None on pass, else the canonically smallest member with no removable element."""
+    return _extension_map(f)[1]
+
+
+def check_exchange(f: SetFamily) -> tuple[int, int] | None:
+    """None on pass, else the canonically smallest failing pair (X, Y)."""
+    return _exchange_failure(_extension_map(f)[0])
+
+
 def is_greedoid(f: SetFamily) -> GreedoidVerdict:
     """Accessibility first, then exchange; the first failing axiom names the verdict."""
-    acc = check_accessibility(f)
-    if acc is not None:
-        return GreedoidVerdict(ACCESSIBILITY_FAIL, acc, None, len(f), f.universe)
-    exc = check_exchange(f)
+    ext, stuck = _extension_map(f)
+    if stuck is not None:
+        return GreedoidVerdict(ACCESSIBILITY_FAIL, stuck, None, len(f), f.universe)
+    exc = _exchange_failure(ext)
     if exc is not None:
         return GreedoidVerdict(EXCHANGE_FAIL, exc[0], exc[1], len(f), f.universe)
     return GreedoidVerdict(GREEDOID, None, None, len(f), f.universe)

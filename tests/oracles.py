@@ -130,3 +130,28 @@ def brute_is_greedoid(members: set[int]) -> bool:
             if not any(y | (1 << v) in members for v in range(diff.bit_length()) if diff >> v & 1):
                 return False
     return True
+
+
+def _canonical(mask: int) -> tuple[int, int]:
+    return (bin(mask).count("1"), mask)
+
+
+def brute_accessibility_witness(members: set[int]) -> int | None:
+    """The canonically smallest nonempty member no single removal keeps in the family."""
+    failing = [
+        x for x in members
+        if x and not any(x ^ (1 << v) in members for v in range(x.bit_length()) if x >> v & 1)
+    ]
+    return min(failing, key=_canonical, default=None)
+
+
+def brute_exchange_witness(members: set[int]) -> tuple[int, int] | None:
+    """The canonically smallest pair (X, Y), |X| = |Y| + 1, where no v in X - Y has Y + v a member."""
+    failing = []
+    for x, y in itertools.product(members, repeat=2):
+        if bin(x).count("1") != bin(y).count("1") + 1:
+            continue
+        diff = x & ~y
+        if not any(y | (1 << v) in members for v in range(diff.bit_length()) if diff >> v & 1):
+            failing.append((x, y))
+    return min(failing, key=lambda p: (_canonical(p[0]), _canonical(p[1])), default=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from _strategies import graphs
 from lmss.graph import (
     FIXTURE_NAMES,
+    MAX_EDGE_LIST_VERTICES,
     EdgeListError,
     closed_neighborhood,
     complement,
@@ -236,6 +237,17 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list_text("n \u00b2")  # a digit that is not a decimal
     with pytest.raises(EdgeListError, match="too large"):
         parse_edge_list_text("n " + "9" * 5000)
+
+
+def test_edge_list_vertex_count_is_bounded():
+    # the count sizes the adjacency list before any edge is read
+    for count in ("2000000", "12345678901", str(MAX_EDGE_LIST_VERTICES + 1)):
+        with pytest.raises(EdgeListError, match=r"too large.*\(line 1\)"):
+            parse_edge_list_text(f"n {count}\n0 1\n")
+    with pytest.raises(EdgeListError, match=r"too large.*\(line 2\)"):
+        parse_edge_list_text("# header next\nn 2000000\n")
+    g = parse_edge_list_text(f"n {MAX_EDGE_LIST_VERTICES}\n0 {MAX_EDGE_LIST_VERTICES - 1}\n")
+    assert g.n == MAX_EDGE_LIST_VERTICES and g.degree(0) == 1
 
 
 # number-like text, with signs, underscores and non-ASCII digits ("²", "٣")

@@ -2,8 +2,10 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _strategies import graphs
+from lmss.bitset import bits
 from lmss.graph import named_fixture, parse_vertex_set, path, random_tree
 from lmss.greedoid import (
     ACCESSIBILITY_FAIL,
@@ -15,7 +17,7 @@ from lmss.greedoid import (
     is_greedoid,
 )
 from lmss.stable import SetFamily, psi
-from oracles import brute_is_greedoid
+from oracles import brute_accessibility_witness, brute_exchange_witness, brute_is_greedoid
 
 
 def fam(universe, members):
@@ -46,6 +48,21 @@ def test_pure_exchange_failure_verdict():
     assert verdict.status == EXCHANGE_FAIL
     assert (verdict.witness_x, verdict.witness_y) == (0b011, 0b100)
     assert verdict.witness_x.bit_count() == verdict.witness_y.bit_count() + 1
+
+
+def test_exchange_witness_among_shared_extension_masks():
+    # ext({2}) = ext({3}) = {4}: one group whose first member is {2}; the
+    # smallest failing X, {0,1}, passes {0} and {1} and fails first on {2},
+    # which is not the first member of its size class
+    members = [0, 0b00001, 0b00010, 0b00100, 0b01000, 0b10000, 0b00011, 0b10100, 0b11000]
+    f = fam(5, members)
+    ext = {y: sum(1 << v for v in range(5) if not y >> v & 1 and y | 1 << v in f) for y in f}
+    assert ext[0b00100] == ext[0b01000] == 0b10000
+    assert check_accessibility(f) is None
+    assert check_exchange(f) == (0b00011, 0b00100)
+    assert check_exchange(f) == brute_exchange_witness(set(members))
+    verdict = is_greedoid(f)
+    assert (verdict.status, verdict.witness_x, verdict.witness_y) == (EXCHANGE_FAIL, 0b00011, 0b00100)
 
 
 def test_missing_empty_set_is_contract_violation():
@@ -157,3 +174,43 @@ def test_accessibility_witness_invariant():
     for v in range(z.n):
         if x >> v & 1:
             assert (x ^ (1 << v)) not in f
+
+
+@st.composite
+def families(draw, max_n: int = 8) -> SetFamily:
+    """The empty set plus arbitrary masks, or plus masks grown one element at a time."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    if not n or not draw(st.booleans()):
+        return fam(n, [0, *draw(st.lists(masks, max_size=40))])
+    members = [0]  # each addition extends a member, so the family stays accessible
+    for base, v in draw(st.lists(st.tuples(st.integers(min_value=0), st.integers(0, n - 1)), max_size=40)):
+        members.append(members[base % len(members)] | 1 << v)
+    return fam(n, members)
+
+
+def _oracle_verdict(f: SetFamily) -> dict:
+    members = set(f.members)
+    acc, exc = brute_accessibility_witness(members), brute_exchange_witness(members)
+    if acc is not None:
+        status, x, y = ACCESSIBILITY_FAIL, acc, None
+    elif exc is not None:
+        status, (x, y) = EXCHANGE_FAIL, exc
+    else:
+        status, x, y = GREEDOID, None, None
+    return {
+        "status": status,
+        "witness_x": None if x is None else list(bits(x)),
+        "witness_y": None if y is None else list(bits(y)),
+        "family_size": len(members),
+        "universe": f.universe,
+    }
+
+
+@given(families())
+@settings(max_examples=300)
+def test_witnesses_match_definitional_oracles_on_arbitrary_families(f):
+    members = set(f.members)
+    assert check_accessibility(f) == brute_accessibility_witness(members)
+    assert check_exchange(f) == brute_exchange_witness(members)
+    assert is_greedoid(f).as_dict() == _oracle_verdict(f)
