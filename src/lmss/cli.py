@@ -26,7 +26,7 @@ from .greedoid import accessibility_chain, is_greedoid
 from .ops import CompositeGraph, composition, corona, disjoint_union, lexicographic_product, zykov_sum
 from .rng import SplitMix64
 from .stable import alpha, min_nonempty_size, psi
-from .theorems import THEOREM_IDS, TheoremReport, run_on_instance, sweep
+from .theorems import THEOREM_IDS, TheoremReport, instance_from_graphs, run_on_instance, sweep
 
 
 def _emit_json(obj) -> None:
@@ -240,31 +240,11 @@ def _report_line(r: TheoremReport) -> str:
 
 
 def cmd_verify(args) -> int:
-    theorem = args.theorem
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
     if args.inputs:
         graphs = [_graph_from_spec(s, args.seed) for s in args.inputs]
-        if theorem in ("T1_NT", "T2_TREE"):
-            if len(graphs) != 1:
-                raise ValueError(f"{theorem} takes exactly one graph")
-            instance: tuple = (graphs[0],)
-        elif theorem in ("L3_CORONA", "T_CORONA"):
-            host, rest = graphs[0], graphs[1:]
-            if len(rest) != host.n:
-                raise ValueError(f"host has {host.n} vertices but {len(rest)} satellites given")
-            instance = (host, tuple(rest))
-        elif theorem == "COR_CORONA":
-            if len(graphs) != 2:
-                raise ValueError("COR_CORONA takes a host and one satellite graph")
-            instance = (graphs[0], graphs[1])
-        else:
-            if len(graphs) < 2:
-                raise ValueError(f"{theorem} takes at least two graphs")
-            instance = tuple(graphs)
-        reports = [run_on_instance(theorem, instance)]
+        reports = [run_on_instance(args.theorem, instance_from_graphs(args.theorem, graphs))]
     else:
-        reports = sweep(theorem, max_size=args.sweep, count=args.count,
+        reports = sweep(args.theorem, max_size=args.sweep, count=args.count,
                         seed=args.seed, exhaustive=args.exhaustive)
     if args.format == "json":
         _emit_json([r.as_dict() for r in reports])
@@ -324,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", metavar="SPEC",
                    help="explicit instance; omit to run a seeded sweep")
     p.add_argument("--sweep", type=int, default=10, metavar="N",
-                   help="max composite size for sweep instances (default 10)")
+                   help="max composite size for sweep instances (default 10; at least 4 "
+                        "for the part and corona theorems, 6 for COR_CORONA)")
     p.add_argument("--count", type=int, default=20, metavar="K",
                    help="number of sweep instances (default 20)")
     p.add_argument("--exhaustive", action="store_true",

@@ -60,10 +60,6 @@ class CompositeGraph:
             raise ValueError(f"operand index {i} out of range (0..{len(self.operands) - 1})")
 
 
-def restrict(c: CompositeGraph, s: int, i: int) -> int:
-    return c.restrict(s, i)
-
-
 def _check_operands(parts: list[Graph], minimum: int) -> None:
     if len(parts) < minimum:
         raise ValueError(f"need at least {minimum} operand graphs, got {len(parts)}")

@@ -5,15 +5,19 @@ Every verifier returns a TheoremReport rather than asserting: the CLI maps
 reports to exit codes and the test suite maps them to test failures. All
 the checked statements are universally quantified, so a report with
 holds=False on valid input means an implementation bug; the witness makes
-that reproducible.
+that reproducible. Each theorem is one row of the table ``_THEOREMS``: its
+verifier, its instance shape and its exhaustive stream, so adding a theorem
+is one table row.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .bitset import bits
 from .graph import (
@@ -40,18 +44,6 @@ from .stable import (
 
 P1_NOTE = "part condition read as: S intersected with part i must lie in the part's own family"
 HOST_SIZE_ONE_NOTE = "host has a single vertex; outside the n>=2 hypothesis, reported separately"
-
-THEOREM_IDS = (
-    "T1_NT",
-    "T2_TREE",
-    "P1_UNION",
-    "L4_ZYKOV_BOUND",
-    "P2_ZYKOV",
-    "L3_CORONA",
-    "T_CORONA",
-    "COR_CORONA",
-    "C4_COMPOSITION_SPECIALIZE",
-)
 
 
 @dataclass(frozen=True)
@@ -222,6 +214,24 @@ def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -
 
 # -- corona ---------------------------------------------------------------------
 
+def _corona_failure(c: CompositeGraph, x: Graph, part_fams: list[SetFamily],
+                    complete_part: list[bool], s: int) -> dict | None:
+    """The first clause the vertex set s fails, or None: (iii) each part
+    intersection lies in the part's family, then (ii) each host vertex of s has
+    a complete private graph and meets every neighboring private graph."""
+    for i, pf in enumerate(part_fams):
+        if c.restrict(s, i) not in pf:
+            return {"part": "iii", "operand": i}
+    for vi in bits(s & c.host_vertices):
+        if not complete_part[vi]:
+            return {"part": "ii", "host_vertex": vi, "reason": "private graph not complete"}
+        for vk in bits(x.adj[vi]):
+            if c.restrict(s, vk) == 0:
+                return {"part": "ii", "host_vertex": vi,
+                        "reason": f"no intersection with part {vk}"}
+    return None
+
+
 def corona_psi_characterization(x: Graph, hs: list[Graph], s: int) -> bool:
     """Structural membership test for a vertex set of the corona of x and hs.
 
@@ -233,35 +243,8 @@ def corona_psi_characterization(x: Graph, hs: list[Graph], s: int) -> bool:
     if x.n < 2:
         raise ValueError("characterization needs a host with at least 2 vertices")
     c = corona(x, hs)
-    if not is_stable(c.graph, s):
-        return False
-    for i, h in enumerate(hs):
-        part = c.restrict(s, i)
-        if part not in psi(h):
-            return False
-    host_part = s & c.host_vertices
-    for vi in bits(host_part):
-        if not is_complete(hs[vi]):
-            return False
-        for vk in bits(x.adj[vi]):
-            if c.restrict(s, vk) == 0:
-                return False
-    return True
-
-
-def _corona_predicate(c: CompositeGraph, x: Graph, part_fams: list[SetFamily],
-                      complete_part: list[bool], s: int) -> bool:
-    # same test as corona_psi_characterization, on precomputed pieces
-    for i in range(len(part_fams)):
-        if c.restrict(s, i) not in part_fams[i]:
-            return False
-    for vi in bits(s & c.host_vertices):
-        if not complete_part[vi]:
-            return False
-        for vk in bits(x.adj[vi]):
-            if c.restrict(s, vk) == 0:
-                return False
-    return True
+    return is_stable(c.graph, s) and _corona_failure(
+        c, x, [psi(h) for h in hs], [is_complete(h) for h in hs], s) is None
 
 
 def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> TheoremReport:
@@ -290,25 +273,10 @@ def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> T
     # (ii) and (iii) necessary conditions on every member
     if witness is None:
         for s in fam:
-            for i in range(len(hs)):
-                if c.restrict(s, i) not in part_fams[i]:
-                    witness = {"part": "iii", "set": _set_list(s), "operand": i}
-                    break
-            if witness:
-                break
-            for vi in bits(s & c.host_vertices):
-                if not complete_part[vi]:
-                    witness = {"part": "ii", "set": _set_list(s), "host_vertex": vi,
-                               "reason": "private graph not complete"}
-                    break
-                for vk in bits(x.adj[vi]):
-                    if c.restrict(s, vk) == 0:
-                        witness = {"part": "ii", "set": _set_list(s), "host_vertex": vi,
-                                   "reason": f"no intersection with part {vk}"}
-                        break
-                if witness:
-                    break
-            if witness:
+            clause = _corona_failure(c, x, part_fams, complete_part, s)
+            if clause:
+                # "part" is already first, so the set follows it
+                witness = {"part": clause["part"], "set": _set_list(s), **clause}
                 break
 
     # (iv) the structural test matches definitional membership on all stable sets
@@ -317,7 +285,7 @@ def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> T
         members = set(fam.members)
         for s in enumerate_stable_sets(g):
             checked += 1
-            if _corona_predicate(c, x, part_fams, complete_part, s) != (s in members):
+            if (_corona_failure(c, x, part_fams, complete_part, s) is None) != (s in members):
                 witness = {"part": "iv", "set": _set_list(s),
                            "structural": s not in members}
                 break
@@ -410,7 +378,7 @@ def corpus_upto(n: int) -> list[Graph]:
     return out
 
 
-# -- seeded sweep instances --------------------------------------------------------
+# -- instance shapes and the theorem table ------------------------------------------
 
 _EDGE_PROBS = ((15, 100), (30, 100), (50, 100))
 
@@ -433,57 +401,112 @@ def _draw_sizes(rand: SplitMix64, count: int, total: int) -> list[int]:
     return sizes
 
 
+def _draw_parts(rand: SplitMix64, max_size: int) -> tuple:
+    p = 2 + rand.below(3)
+    total = max(p, 2 + rand.below(max_size - 1))
+    return tuple(_draw_graph(rand, k) for k in _draw_sizes(rand, p, total))
+
+
+def _draw_corona(rand: SplitMix64, max_size: int) -> tuple:
+    hn = min(2 + rand.below(3), max_size // 2)
+    floor = 2 * hn  # host plus one vertex per nonempty part
+    budget = floor + rand.below(max_size - floor + 1)
+    host = _draw_graph(rand, hn)
+    sizes = _draw_sizes(rand, hn, budget - hn)
+    return (host, tuple(_draw_graph(rand, k) for k in sizes))
+
+
+def _draw_uniform_corona(rand: SplitMix64, max_size: int) -> tuple:
+    hn = 1 + rand.below(3)
+    host = _draw_graph(rand, hn)
+    return (host, _draw_graph(rand, 1 + rand.below((max_size - hn) // hn)))
+
+
+def _exactly(k: int, what: str) -> Callable[[str, list[Graph]], tuple]:
+    def from_graphs(theorem: str, graphs: list[Graph]) -> tuple:
+        if len(graphs) != k:
+            raise ValueError(f"{theorem} takes {what}")
+        return tuple(graphs)
+    return from_graphs
+
+
+def _at_least_two(theorem: str, graphs: list[Graph]) -> tuple:
+    if len(graphs) < 2:
+        raise ValueError(f"{theorem} takes at least two graphs")
+    return tuple(graphs)
+
+
+def _host_and_satellites(theorem: str, graphs: list[Graph]) -> tuple:
+    if not graphs:
+        raise ValueError(f"{theorem} takes a host graph followed by its satellites")
+    host, rest = graphs[0], tuple(graphs[1:])
+    if len(rest) != host.n:
+        raise ValueError(f"host has {host.n} vertices but {len(rest)} satellites given")
+    return (host, rest)
+
+
+class _Shape(NamedTuple):
+    """One instance layout: how a sweep draws it, how explicit graphs (in CLI
+    order) become it, and how it is passed to a verifier."""
+
+    min_size: int  # smallest composite size every draw fits in
+    draw: Callable[[SplitMix64, int], tuple]
+    from_graphs: Callable[[str, list[Graph]], tuple]
+    args: Callable[[tuple], tuple]
+
+
+_ONE_GRAPH = _exactly(1, "exactly one graph")
+_GRAPH = _Shape(1, lambda rand, size: (_draw_graph(rand, 1 + rand.below(size)),), _ONE_GRAPH, tuple)
+_TREE = _Shape(1, lambda rand, size: (random_tree(1 + rand.below(size), rand.next_u64()),),
+               _ONE_GRAPH, tuple)
+_PARTS = _Shape(4, _draw_parts, _at_least_two, lambda inst: (list(inst),))
+_CORONA = _Shape(4, _draw_corona, _host_and_satellites, lambda inst: (inst[0], list(inst[1])))
+_UNIFORM_CORONA = _Shape(6, _draw_uniform_corona, _exactly(2, "a host and one satellite graph"),
+                         tuple)
+
+
+class _Theorem(NamedTuple):
+    verify: Callable[..., TheoremReport]
+    shape: _Shape
+    exhaustive: Callable[[int], Iterator[tuple]] | None = None
+
+
+_THEOREMS = {
+    "T1_NT": _Theorem(verify_nemhauser_trotter, _GRAPH,
+                      lambda size: ((g,) for g in corpus_upto(size))),
+    "T2_TREE": _Theorem(verify_tree_greedoid, _TREE,
+                        lambda size: ((t,) for n in range(1, size + 1) for t in labeled_trees(n))),
+    "P1_UNION": _Theorem(verify_union_prop, _PARTS),
+    "L4_ZYKOV_BOUND": _Theorem(verify_zykov_bound, _PARTS),
+    "P2_ZYKOV": _Theorem(verify_zykov_characterization, _PARTS),
+    "L3_CORONA": _Theorem(verify_corona_lemma, _CORONA),
+    "T_CORONA": _Theorem(verify_corona_theorem, _CORONA),
+    "COR_CORONA": _Theorem(verify_corona_corollary, _UNIFORM_CORONA),
+    "C4_COMPOSITION_SPECIALIZE": _Theorem(verify_composition_specializations, _PARTS),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+def _lookup(theorem: str) -> _Theorem:
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    return _THEOREMS[theorem]
+
+
 def random_instance(theorem: str, max_size: int, seed: int):
-    """Deterministic operand tuple for one sweep step of the given theorem."""
-    rand = SplitMix64(seed)
-    if theorem == "T1_NT":
-        return (_draw_graph(rand, 1 + rand.below(max_size)),)
-    if theorem == "T2_TREE":
-        n = 1 + rand.below(max_size)
-        return (random_tree(n, rand.next_u64()),)
-    if theorem in ("P1_UNION", "L4_ZYKOV_BOUND", "P2_ZYKOV", "C4_COMPOSITION_SPECIALIZE"):
-        p = 2 + rand.below(3)
-        total = max(p, 2 + rand.below(max(1, max_size - 1)))
-        sizes = _draw_sizes(rand, p, total)
-        return tuple(_draw_graph(rand, k) for k in sizes)
-    if theorem in ("L3_CORONA", "T_CORONA"):
-        hn = 2 + rand.below(3)
-        if 2 * hn > max_size:
-            hn = max(2, max_size // 2)
-        floor = 2 * hn  # host plus one vertex per nonempty part
-        budget = floor + rand.below(max(1, max_size - floor + 1))
-        host = _draw_graph(rand, hn)
-        sizes = _draw_sizes(rand, hn, budget - hn)
-        return (host, tuple(_draw_graph(rand, k) for k in sizes))
-    if theorem == "COR_CORONA":
-        hn = 1 + rand.below(3)
-        room = max(1, (max_size - hn) // hn)
-        host = _draw_graph(rand, hn)
-        sat = _draw_graph(rand, 1 + rand.below(room))
-        return (host, sat)
-    raise ValueError(f"unknown theorem id {theorem!r}")
+    """Deterministic operand tuple for one sweep step of the given theorem;
+    max_size must be at least the shape's floor, which sweep checks."""
+    return _lookup(theorem).shape.draw(SplitMix64(seed), max_size)
+
+
+def instance_from_graphs(theorem: str, graphs: list[Graph]) -> tuple:
+    """The instance for explicit graphs in CLI order, host first for a corona."""
+    return _lookup(theorem).shape.from_graphs(theorem, graphs)
 
 
 def run_on_instance(theorem: str, instance, seed: int | None = None) -> TheoremReport:
-    if theorem == "T1_NT":
-        return verify_nemhauser_trotter(instance[0], seed)
-    if theorem == "T2_TREE":
-        return verify_tree_greedoid(instance[0], seed)
-    if theorem == "P1_UNION":
-        return verify_union_prop(list(instance), seed)
-    if theorem == "L4_ZYKOV_BOUND":
-        return verify_zykov_bound(list(instance), seed)
-    if theorem == "P2_ZYKOV":
-        return verify_zykov_characterization(list(instance), seed)
-    if theorem == "L3_CORONA":
-        return verify_corona_lemma(instance[0], list(instance[1]), seed)
-    if theorem == "T_CORONA":
-        return verify_corona_theorem(instance[0], list(instance[1]), seed)
-    if theorem == "COR_CORONA":
-        return verify_corona_corollary(instance[0], instance[1], seed)
-    if theorem == "C4_COMPOSITION_SPECIALIZE":
-        return verify_composition_specializations(list(instance), seed)
-    raise ValueError(f"unknown theorem id {theorem!r}")
+    entry = _lookup(theorem)
+    return entry.verify(*entry.shape.args(instance), seed)
 
 
 def _sweep_task(args) -> TheoremReport:
@@ -512,27 +535,23 @@ def _parallel_map(fn, items: list) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def exhaustive_instances(theorem: str, max_size: int):
-    """Deterministic exhaustive instance stream where one is meaningful."""
-    if theorem == "T2_TREE":
-        for n in range(1, max_size + 1):
-            for t in labeled_trees(n):
-                yield (t,)
-    elif theorem == "T1_NT":
-        for g in corpus_upto(min(max_size, CORPUS_MAX_N)):
-            yield (g,)
-    else:
-        raise ValueError(f"no exhaustive sweep defined for {theorem!r}")
-
-
 def sweep(theorem: str, *, max_size: int = 12, count: int = 100, seed: int = 0,
           exhaustive: bool = False) -> list[TheoremReport]:
-    """Run one theorem over generated instances; order is deterministic."""
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
+    """Run one theorem over generated instances; order is deterministic.
+
+    max_size bounds the composite size; below the theorem's shape floor it
+    cannot be honoured and raises ValueError, as does count < 1."""
+    entry = _lookup(theorem)
+    if max_size < entry.shape.min_size:
+        raise ValueError(f"{theorem} sweeps need a composite size of at least "
+                         f"{entry.shape.min_size}, got {max_size}")
     if exhaustive:
-        tasks = [(theorem, inst) for inst in exhaustive_instances(theorem, max_size)]
+        if entry.exhaustive is None:
+            raise ValueError(f"no exhaustive sweep defined for {theorem!r}")
+        tasks = [(theorem, inst) for inst in entry.exhaustive(max_size)]
         return _parallel_map(_exhaustive_task, tasks)
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rand = SplitMix64(seed)
     seeds = [rand.next_u64() for _ in range(count)]
     return _parallel_map(_sweep_task, [(theorem, max_size, s) for s in seeds])

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from lmss.bitset import bits
 from lmss.cli import main
 from lmss.graph import (
@@ -159,9 +161,30 @@ def test_verify_plain_summary(capsys):
     assert out.strip().endswith("21/21 hold")
 
 
-def test_verify_corona_arity_checked(capsys):
-    code, _, err = run_cli(capsys, "verify", "T_CORONA", "gen:path:2", "gen:complete:1")
-    assert code == 2 and "satellites" in err
+@pytest.mark.parametrize("theorem, specs, message", [
+    pytest.param("T1_NT", ["gen:path:2", "gen:path:3"], "T1_NT takes exactly one graph",
+                 id="T1_NT"),
+    pytest.param("P1_UNION", ["gen:path:2"], "P1_UNION takes at least two graphs",
+                 id="P1_UNION"),
+    pytest.param("T_CORONA", ["gen:path:2", "gen:complete:1"],
+                 "host has 2 vertices but 1 satellites given", id="T_CORONA"),
+    pytest.param("COR_CORONA", ["gen:path:2", "gen:path:2", "gen:path:2"],
+                 "COR_CORONA takes a host and one satellite graph", id="COR_CORONA"),
+])
+def test_verify_wrong_arity_exits_2(capsys, theorem, specs, message):
+    code, _, err = run_cli(capsys, "verify", theorem, *specs)
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["T1_NT", "--count", "0"], "count must be at least 1"),
+    (["T1_NT", "--count", "-3"], "count must be at least 1"),
+    (["T2_TREE", "--sweep", "0", "--exhaustive"], "at least 1, got 0"),
+    (["COR_CORONA", "--sweep", "5"], "at least 6, got 5"),
+])
+def test_verify_sweep_that_checks_nothing_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and message in err and out == ""
 
 
 def test_verify_unknown_theorem(capsys):

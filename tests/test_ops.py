@@ -20,7 +20,6 @@ from lmss.ops import (
     corona,
     disjoint_union,
     lexicographic_product,
-    restrict,
     zykov_sum,
 )
 from lmss.stable import alpha, enumerate_stable_sets
@@ -123,23 +122,23 @@ def test_restrict_fig5():
     c = corona(_fig5_host(), [complete(3), complete(2), path(3), complete(1)])
     g = named_fixture("CORONA_FIG5")
     s = parse_vertex_set("{x,z,v4}", g)
-    assert restrict(c, s, 2) == 0b101  # the two path ends in part coordinates
+    assert c.restrict(s, 2) == 0b101  # the two path ends in part coordinates
     assert c.restrict_host(s) == 0b1000
-    assert restrict(c, s, 0) == 0
+    assert c.restrict(s, 0) == 0
     with pytest.raises(ValueError, match="out of range"):
-        restrict(c, s, 4)
+        c.restrict(s, 4)
 
 
 def test_restrict_union_second_part():
     u = disjoint_union([path(3), path(3)])
-    assert restrict(u, 0b000001, 1) == 0
+    assert u.restrict(0b000001, 1) == 0
 
 
 def test_lift_round_trip_and_bounds():
     u = disjoint_union([path(3), complete(2)])
     assert u.lift(0b101, 0) == 0b101
     assert u.lift(0b10, 1) == 0b10000
-    assert restrict(u, u.lift(0b10, 1), 1) == 0b10
+    assert u.restrict(u.lift(0b10, 1), 1) == 0b10
     with pytest.raises(ValueError, match="does not fit"):
         u.lift(0b100, 1)
 

@@ -7,6 +7,7 @@ from lmss.graph import (
     complete,
     cycle,
     from_edge_list,
+    is_complete,
     named_fixture,
     parse_graph6,
     parse_vertex_set,
@@ -16,13 +17,15 @@ from lmss.graph import (
     validate,
 )
 from lmss.ops import corona, disjoint_union, zykov_sum
-from lmss.stable import is_local_max_stable, psi
+from lmss.stable import SetFamily, is_local_max_stable, psi
 from lmss.theorems import (
     CORPUS_MAX_N,
     P1_NOTE,
+    THEOREM_IDS,
     corona_psi_characterization,
     corpus_graphs,
     corpus_upto,
+    instance_from_graphs,
     random_instance,
     run_on_instance,
     sweep,
@@ -201,6 +204,40 @@ def test_corona_characterization_fig5_bullets():
     assert corona_psi_characterization(x, hs, parse_vertex_set("{x,y,z}", g))
 
 
+@pytest.mark.parametrize("text, clause", [
+    ("{y,v3}", {"part": "ii", "host_vertex": 2, "reason": "private graph not complete"}),
+    ("{v2,v4}", {"part": "ii", "host_vertex": 1, "reason": "no intersection with part 0"}),
+    ("{v4}", {"part": "ii", "host_vertex": 3, "reason": "no intersection with part 2"}),
+    ("{y,v2}", {"part": "ii", "host_vertex": 1, "reason": "no intersection with part 2"}),
+    ("{x,z,v4}", None),
+    ("{x,y,z}", None),
+])
+def test_corona_failing_clause_fig5_bullets(text, clause):
+    x, hs = fig5_host(), FIG5_PARTS()
+    c = corona(x, hs)
+    s = parse_vertex_set(text, named_fixture("CORONA_FIG5"))
+    assert theorems._corona_failure(
+        c, x, [psi(h) for h in hs], [is_complete(h) for h in hs], s) == clause
+
+
+def test_l3_witness_keys_keep_their_order(monkeypatch):
+    # a psi that drops one part-family member makes clause (iii) fail on a
+    # corona member; the witness prints part, set, then the clause keys
+    real_psi = theorems.psi
+
+    def short_psi(g):
+        fam = real_psi(g)
+        if g == path(3):
+            return SetFamily(fam.universe, [m for m in fam if m != 0b101])
+        return fam
+
+    monkeypatch.setattr(theorems, "psi", short_psi)
+    r = verify_corona_lemma(fig5_host(), FIG5_PARTS())
+    assert not r.holds
+    assert list(r.witness) == ["part", "set", "operand"]
+    assert r.witness["part"] == "iii" and r.witness["operand"] == 2
+
+
 def test_corona_characterization_matches_definition_everywhere():
     x, hs = fig5_host(), FIG5_PARTS()
     c = corona(x, hs)
@@ -279,17 +316,59 @@ def test_sweep_is_deterministic():
     assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
 
 
+# smallest --sweep size each theorem's instance shape honours
+SIZE_FLOORS = {
+    "T1_NT": 1,
+    "T2_TREE": 1,
+    "P1_UNION": 4,
+    "L4_ZYKOV_BOUND": 4,
+    "P2_ZYKOV": 4,
+    "L3_CORONA": 4,
+    "T_CORONA": 4,
+    "COR_CORONA": 6,
+    "C4_COMPOSITION_SPECIALIZE": 4,
+}
+
+
+def _flatten(instance) -> list:
+    out = []
+    for item in instance:
+        out.extend(item if isinstance(item, tuple) else [item])
+    return out
+
+
+def _composite_size(theorem, instance) -> int:
+    if theorem == "COR_CORONA":
+        return instance[0].n * (1 + instance[1].n)
+    return sum(g.n for g in _flatten(instance))
+
+
 def test_sweep_respects_composite_size_budget():
-    for theorem in ("P1_UNION", "L3_CORONA", "COR_CORONA"):
-        for seed in range(30):
-            inst = random_instance(theorem, 12, seed)
-            if theorem == "P1_UNION":
-                total = sum(g.n for g in inst)
-            elif theorem == "L3_CORONA":
-                total = inst[0].n + sum(g.n for g in inst[1])
-            else:
-                total = inst[0].n * (1 + inst[1].n)
-            assert total <= 12
+    for theorem in THEOREM_IDS:
+        floor = SIZE_FLOORS[theorem]
+        for max_size in range(floor, 15):
+            for seed in range(50):
+                inst = random_instance(theorem, max_size, seed)
+                assert _composite_size(theorem, inst) <= max_size, (theorem, max_size, seed)
+        with pytest.raises(ValueError, match=f"at least {floor}"):
+            sweep(theorem, max_size=floor - 1, count=1)
+        with pytest.raises(ValueError, match=f"at least {floor}"):
+            sweep(theorem, max_size=floor - 1, exhaustive=True)
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_instance_from_graphs_rebuilds_sweep_instances(theorem):
+    # the CLI path and the sweep path agree on each theorem's instance shape
+    for seed in range(20):
+        instance = random_instance(theorem, 12, seed)
+        assert instance_from_graphs(theorem, _flatten(instance)) == instance
+
+
+def test_instance_from_graphs_rejects_no_graphs():
+    with pytest.raises(ValueError, match="host graph followed by its satellites"):
+        instance_from_graphs("T_CORONA", [])
+    with pytest.raises(ValueError, match="takes exactly one graph"):
+        instance_from_graphs("T1_NT", [])
 
 
 def test_t1_exhaustive_corpus_small():
