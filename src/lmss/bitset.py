@@ -30,8 +30,3 @@ def from_iter(vertices: Iterable[int]) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def canonical_key(mask: int) -> tuple[int, int]:
-    """Sort key for the canonical family order: cardinality, then bit pattern."""
-    return (mask.bit_count(), mask)

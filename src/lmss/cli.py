@@ -239,13 +239,28 @@ def _report_line(r: TheoremReport) -> str:
     return out
 
 
+_SWEEP_SIZE_DEFAULT = 10
+_SWEEP_COUNT_DEFAULT = 20
+
+
 def cmd_verify(args) -> int:
+    # the sweep flags default to None, so a flag given where it would be ignored is an error
     if args.inputs:
+        given = [flag for flag, used in (("--sweep", args.sweep is not None),
+                                         ("--count", args.count is not None),
+                                         ("--exhaustive", args.exhaustive)) if used]
+        if given:
+            raise ValueError(f"sweep flags given with an explicit instance: {', '.join(given)}")
         graphs = [_graph_from_spec(s, args.seed) for s in args.inputs]
         reports = [run_on_instance(args.theorem, instance_from_graphs(args.theorem, graphs))]
+    elif args.exhaustive and args.count is not None:
+        raise ValueError("--exhaustive checks every instance up to --sweep and takes no --count")
     else:
-        reports = sweep(args.theorem, max_size=args.sweep, count=args.count,
-                        seed=args.seed, exhaustive=args.exhaustive)
+        reports = sweep(
+            args.theorem,
+            max_size=_SWEEP_SIZE_DEFAULT if args.sweep is None else args.sweep,
+            count=_SWEEP_COUNT_DEFAULT if args.count is None else args.count,
+            seed=args.seed, exhaustive=args.exhaustive)
     if args.format == "json":
         _emit_json([r.as_dict() for r in reports])
     else:
@@ -303,11 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", metavar="THEOREM", help=", ".join(THEOREM_IDS))
     p.add_argument("inputs", nargs="*", metavar="SPEC",
                    help="explicit instance; omit to run a seeded sweep")
-    p.add_argument("--sweep", type=int, default=10, metavar="N",
-                   help="max composite size for sweep instances (default 10; at least 4 "
-                        "for the part and corona theorems, 6 for COR_CORONA)")
-    p.add_argument("--count", type=int, default=20, metavar="K",
-                   help="number of sweep instances (default 20)")
+    p.add_argument("--sweep", type=int, metavar="N",
+                   help=f"max composite size for sweep instances (default {_SWEEP_SIZE_DEFAULT}; "
+                        "at least 4 for the part and corona theorems, 6 for COR_CORONA)")
+    p.add_argument("--count", type=int, metavar="K",
+                   help=f"number of sweep instances (default {_SWEEP_COUNT_DEFAULT}; "
+                        "not with --exhaustive)")
     p.add_argument("--exhaustive", action="store_true",
                    help="exhaustive sweep (T1_NT corpus, T2_TREE all labeled trees)")
     _add_common(p)

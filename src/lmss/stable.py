@@ -4,9 +4,9 @@ alpha() is an exact branch-and-bound that branches in/out on a vertex of
 maximum residual degree and prunes with a greedy clique-cover upper bound.
 The stable-set stream inserts vertices in increasing order, so each stable
 set is produced exactly once and non-stable candidates never materialize.
-psi() filters that stream through the local-maximum test, which
-is_local_max_stable() shares. The test decides whether alpha(N[S])
-exceeds |S| without computing alpha(N[S]):
+On a graph with a cycle, psi() filters that stream through the
+local-maximum test, which is_local_max_stable() shares. The test decides
+whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
@@ -18,13 +18,37 @@ exceeds |S| without computing alpha(N[S]):
 Outcomes are memoized by closed-neighborhood mask, as "alpha = k" or as
 "alpha >= k"; a later set with the same N[S] and fewer than k vertices is
 rejected without a search.
+
+On a forest psi() does not use the stream: its stable sets can outnumber
+its members by orders of magnitude (path:40 has about 2.7e8 of them and
+231 members). In a bipartite graph a stable set S is in Psi iff N(S) has
+a matching into S along S-N(S) edges (Koenig: alpha(N[S]) = |N[S]| minus
+a maximum matching, and a matching of size |N(S)| there uses no N(S)-N(S)
+edge). On a rooted tree the matching can be taken leaf-greedy: a vertex
+outside S matches down to a free child in S whenever it has one, since no
+other vertex can use that child. Each vertex then takes one of five
+states:
+
+* IF: in S, no child matched into it;
+* IU: in S, one child matched into it (two are infeasible);
+* OK: not in S, matched to an IF child;
+* NEED: not in S, with children in S that are all IU, so it must match to
+  its parent, which is then in S;
+* CLR: not in S, no child in S; it must match to its parent if that is in S.
+
+A vertex in S takes OK, NEED and CLR children, and is IU when one of them
+is NEED or CLR; a vertex outside S takes IF, IU, OK and CLR children. A
+root may take any state but NEED, and components multiply. psi() runs this
+DP, bottom-up after one iterative DFS per component, on any graph with
+fewer edges than vertices, and the stream on graphs where the DFS meets a
+cycle and on all others.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .bitset import bits, canonical_key, full_mask
+from .bitset import bits, full_mask
 from .graph import Graph
 
 
@@ -40,7 +64,8 @@ class SetFamily:
     def __init__(self, universe: int, members):
         self.universe = universe
         self._member_set = frozenset(members)
-        self.members = tuple(sorted(self._member_set, key=canonical_key))
+        # a stable sort by cardinality keeps the bit-pattern order within a size
+        self.members = tuple(sorted(sorted(self._member_set), key=int.bit_count))
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._member_set
@@ -207,9 +232,67 @@ def is_local_max_stable(g: Graph, s: int) -> bool:
     return is_stable(g, s) and _is_local_max(g.adj, s, {})
 
 
+def _product(xs: list[int], ys: list[int]) -> list[int]:
+    """Every union x | y of a mask from each list."""
+    return [x | y for x in xs for y in ys]
+
+
+def _forest_psi(adj: tuple[int, ...]) -> list[int] | None:
+    """The members of Psi of a forest, or None when the graph has a cycle.
+
+    One iterative DFS per component orders the vertices; each vertex, taken
+    after all of its children, holds per state the traces on its subtree of
+    the sets in that state, and folds them into its parent's lists.
+    """
+    n = len(adj)
+    parent_bit = [0] * n
+    order: list[int] = []
+    seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            children = adj[v] & ~parent_bit[v]
+            if children & seen:
+                return None
+            seen |= children
+            for u in bits(children):
+                parent_bit[u] = 1 << v
+                stack.append(u)
+    # states[v] holds, per state of v (IF, IU, OK, NEED, CLR, as free, used,
+    # ok, need, clr), the traces on the folded part of v's subtree of the
+    # sets in that state; v's children fold in before v is taken
+    states: list = [[[1 << v], [], [], [], [0]] for v in range(n)]
+    family = [0]
+    for v in reversed(order):
+        free, used, ok, need, clr = states[v]
+        states[v] = None
+        if not parent_bit[v]:
+            family = _product(family, free + used + ok + clr)
+            continue
+        parent = states[parent_bit[v].bit_length() - 1]
+        p_free, p_used, p_ok, p_need, p_clr = parent
+        settled = ok + clr
+        parent[0] = _product(p_free, ok)
+        parent[1] = _product(p_used, ok) + _product(p_free, need + clr)
+        parent[2] = _product(p_ok, free + used + settled) + _product(p_clr + p_need, free)
+        parent[3] = _product(p_need, used + settled) + _product(p_clr, used)
+        parent[4] = _product(p_clr, settled)
+    return family
+
+
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
     adj = g.adj
+    # a forest has fewer edges than vertices, or no vertex at all
+    if sum(row.bit_count() for row in adj) // 2 < max(g.n, 1):
+        members = _forest_psi(adj)
+        if members is not None:
+            return SetFamily(g.n, members)
     memo: dict[int, tuple[int, bool]] = {}
     return SetFamily(g.n, [s for s in enumerate_stable_sets(g) if _is_local_max(adj, s, memo)])
 

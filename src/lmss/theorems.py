@@ -493,10 +493,19 @@ def _lookup(theorem: str) -> _Theorem:
     return _THEOREMS[theorem]
 
 
+def _sized(theorem: str, max_size: int) -> _Theorem:
+    """The table row, once max_size is known to reach the shape's floor."""
+    entry = _lookup(theorem)
+    if max_size < entry.shape.min_size:
+        raise ValueError(f"{theorem} sweeps need a composite size of at least "
+                         f"{entry.shape.min_size}, got {max_size}")
+    return entry
+
+
 def random_instance(theorem: str, max_size: int, seed: int):
     """Deterministic operand tuple for one sweep step of the given theorem;
-    max_size must be at least the shape's floor, which sweep checks."""
-    return _lookup(theorem).shape.draw(SplitMix64(seed), max_size)
+    a max_size below the shape's floor raises ValueError."""
+    return _sized(theorem, max_size).shape.draw(SplitMix64(seed), max_size)
 
 
 def instance_from_graphs(theorem: str, graphs: list[Graph]) -> tuple:
@@ -541,10 +550,7 @@ def sweep(theorem: str, *, max_size: int = 12, count: int = 100, seed: int = 0,
 
     max_size bounds the composite size; below the theorem's shape floor it
     cannot be honoured and raises ValueError, as does count < 1."""
-    entry = _lookup(theorem)
-    if max_size < entry.shape.min_size:
-        raise ValueError(f"{theorem} sweeps need a composite size of at least "
-                         f"{entry.shape.min_size}, got {max_size}")
+    entry = _sized(theorem, max_size)
     if exhaustive:
         if entry.exhaustive is None:
             raise ValueError(f"no exhaustive sweep defined for {theorem!r}")

@@ -187,6 +187,28 @@ def test_verify_sweep_that_checks_nothing_exits_2(capsys, argv, message):
     assert code == 2 and message in err and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["T2_TREE", "gen:path:3", "--sweep", "0", "--count", "0"],
+     "sweep flags given with an explicit instance: --sweep, --count"),
+    (["T2_TREE", "gen:path:3", "--count", "20"],
+     "sweep flags given with an explicit instance: --count"),
+    (["T1_NT", "gen:path:3", "--exhaustive"],
+     "sweep flags given with an explicit instance: --exhaustive"),
+    (["T2_TREE", "--sweep", "3", "--exhaustive", "--count", "0"],
+     "--exhaustive checks every instance up to --sweep and takes no --count"),
+])
+def test_verify_rejects_sweep_flags_it_would_ignore(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and message in err and out == ""
+
+
+def test_verify_sweep_defaults(capsys):
+    code, out, _ = run_cli(capsys, "verify", "L4_ZYKOV_BOUND", "--format", "json")
+    assert code == 0
+    expected = [r.as_dict() for r in sweep("L4_ZYKOV_BOUND", max_size=10, count=20, seed=0)]
+    assert json.loads(out) == expected
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run_cli(capsys, "verify", "T9_NOPE")
     assert code == 2 and "unknown theorem" in err

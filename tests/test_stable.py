@@ -1,20 +1,25 @@
 """Stability computations against the independent brute-force oracles."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _strategies import graphs
+from _strategies import forests, graphs, trees
 from lmss import stable
 from lmss.graph import (
     complete,
     cycle,
     edgeless,
+    edges,
     from_edge_list,
     named_fixture,
     parse_vertex_set,
     path,
     random_graph,
+    random_tree,
 )
 from lmss.stable import (
     SetFamily,
@@ -203,6 +208,83 @@ def test_psi_on_exhaustive_small_corpus():
 @settings(max_examples=150)
 def test_psi_matches_naive(g):
     assert set(psi(g).members) == brute_psi(g)
+
+
+def _psi_streamed(g):
+    """psi(g), and whether it consumed the stable-set stream."""
+    calls = []
+    stream = stable.enumerate_stable_sets
+
+    def counted(h):
+        calls.append(h)
+        return stream(h)
+
+    stable.enumerate_stable_sets = counted
+    try:
+        fam = psi(g)
+    finally:
+        stable.enumerate_stable_sets = stream
+    return fam, bool(calls)
+
+
+@given(forests(max_n=12))
+@settings(max_examples=200)
+def test_forest_psi_matches_naive(g):
+    fam, streamed = _psi_streamed(g)
+    assert not streamed
+    assert set(fam.members) == brute_psi(g)
+
+
+@given(forests(max_n=20))
+@settings(max_examples=30, deadline=None)
+def test_forest_psi_matches_stream_filter(g):
+    streamed = SetFamily(g.n, filter(lambda s: is_local_max_stable(g, s), enumerate_stable_sets(g)))
+    assert psi(g) == streamed
+
+
+@st.composite
+def forests_plus_triangle(draw):
+    """A forest with a disjoint triangle added: a cycle with fewer edges than vertices."""
+    f = draw(forests(max_n=9))
+    n = f.n
+    pairs = list(edges(f)) + [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+    return from_edge_list(n + 3, pairs)
+
+
+@st.composite
+def trees_plus_chord(draw):
+    """A tree with one more edge: exactly as many edges as vertices."""
+    t = draw(trees(min_n=3, max_n=12))
+    tree_edges = set(edges(t))
+    chords = [(i, j) for j in range(t.n) for i in range(j) if (i, j) not in tree_edges]
+    return from_edge_list(t.n, sorted(tree_edges) + [draw(st.sampled_from(chords))])
+
+
+@given(st.one_of(forests_plus_triangle(), trees_plus_chord()))
+@settings(max_examples=120)
+def test_graphs_with_a_cycle_take_the_stream(g):
+    assert stable._forest_psi(g.adj) is None
+    fam, streamed = _psi_streamed(g)
+    assert streamed
+    assert set(fam.members) == brute_psi(g)
+
+
+def test_forest_anchors_beyond_the_stream():
+    # path:40 has about 2.7e8 stable sets and the tree about 1.3e6
+    assert len(psi(path(40))) == 231
+    assert len(psi(random_tree(28, 0))) == 46198
+
+
+def test_forest_psi_does_not_recurse():
+    # the stream recurses once per vertex of a stable set; the tree DP not at all
+    g = path(150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        fam = psi(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(fam) == 77 * 76 // 2  # |Psi(P_2k)| = C(k + 2, 2)
 
 
 @pytest.mark.parametrize("n,seed", [(13, 0), (14, 1), (15, 2), (16, 3)])

@@ -357,6 +357,19 @@ def test_sweep_respects_composite_size_budget():
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_random_instance_checks_the_size_floor(theorem):
+    # below the floor a draw fails with the sweep's own message, not later in
+    # the verifier or in the random stream
+    floor = SIZE_FLOORS[theorem]
+    with pytest.raises(ValueError) as drawn:
+        random_instance(theorem, floor - 1, 0)
+    with pytest.raises(ValueError) as swept:
+        sweep(theorem, max_size=floor - 1, count=1)
+    assert str(drawn.value) == str(swept.value) == (
+        f"{theorem} sweeps need a composite size of at least {floor}, got {floor - 1}")
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_instance_from_graphs_rebuilds_sweep_instances(theorem):
     # the CLI path and the sweep path agree on each theorem's instance shape
     for seed in range(20):
