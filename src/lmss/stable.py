@@ -4,13 +4,19 @@ alpha() is an exact branch-and-bound that branches in/out on a vertex of
 maximum residual degree and prunes with a greedy clique-cover upper bound.
 The stable-set stream inserts vertices in increasing order, so each stable
 set is produced exactly once and non-stable candidates never materialize.
-On a graph with a cycle, psi() filters that stream through the
-local-maximum test, which is_local_max_stable() shares. The test decides
-whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
+On a graph with a cycle, psi() walks the same tree of stable sets with an
+explicit stack. Each entry carries S, the vertices that may still join it,
+N(S), the vertices of N(S) with two or more neighbours in S, and |S|; the
+child S + v gets N(S) | N(v) and repeats | (N(S) & N(v)), so no N[S] is
+rebuilt. Every set goes through the local-maximum test, which
+is_local_max_stable() shares (building the masks from S). The test
+decides whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
   (S - v) + {a, b} is a larger stable set and S is rejected at once;
+* otherwise a greedy stable set of N[S], which repeatedly takes a vertex
+  of minimum degree in what remains, rejects S when it has more vertices;
 * otherwise the branch-and-bound runs floored: it starts from best = |S|
   (S is stable in N[S]) and stops at the first larger stable set, so a
   greedy clique cover of N[S] with |S| cliques accepts S at the root.
@@ -19,7 +25,7 @@ Outcomes are memoized by closed-neighborhood mask, as "alpha = k" or as
 "alpha >= k"; a later set with the same N[S] and fewer than k vertices is
 rejected without a search.
 
-On a forest psi() does not use the stream: its stable sets can outnumber
+On a forest psi() does not walk the stable sets: they can outnumber
 its members by orders of magnitude (path:40 has about 2.7e8 of them and
 231 members). In a bipartite graph a stable set S is in Psi iff N(S) has
 a matching into S along S-N(S) edges (Koenig: alpha(N[S]) = |N[S]| minus
@@ -40,7 +46,7 @@ A vertex in S takes OK, NEED and CLR children, and is IU when one of them
 is NEED or CLR; a vertex outside S takes IF, IU, OK and CLR children. A
 root may take any state but NEED, and components multiply. psi() runs this
 DP, bottom-up after one iterative DFS per component, on any graph with
-fewer edges than vertices, and the stream on graphs where the DFS meets a
+fewer edges than vertices, and the walk on graphs where the DFS meets a
 cycle and on all others.
 """
 
@@ -56,18 +62,25 @@ class SetFamily:
     """Canonically ordered collection of vertex sets over a fixed universe.
 
     Members are sorted by cardinality then bit pattern and deduplicated,
-    so families built in any order compare equal structurally.
+    so families built in any order compare equal structurally. The set
+    behind ``in`` is built on the first membership test.
     """
 
     __slots__ = ("universe", "members", "_member_set")
 
     def __init__(self, universe: int, members):
         self.universe = universe
-        self._member_set = frozenset(members)
+        self._member_set: frozenset[int] | None = None
+        ordered = sorted(members)
+        # the sort puts equal masks side by side; keep the last of each run
+        ordered = [m for m, nxt in zip(ordered, ordered[1:] + [None]) if m != nxt]
         # a stable sort by cardinality keeps the bit-pattern order within a size
-        self.members = tuple(sorted(sorted(self._member_set), key=int.bit_count))
+        ordered.sort(key=int.bit_count)
+        self.members = tuple(ordered)
 
     def __contains__(self, mask: int) -> bool:
+        if self._member_set is None:
+            self._member_set = frozenset(self.members)
         return mask in self._member_set
 
     def __iter__(self) -> Iterator[int]:
@@ -184,22 +197,42 @@ def omega(g: Graph) -> SetFamily:
     return SetFamily(g.n, (s for s in enumerate_stable_sets(g) if s.bit_count() == a))
 
 
-def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]]) -> bool:
-    """True iff the stable set ``s`` is maximum within its closed neighborhood.
+def _greedy_stable(adj: tuple[int, ...], avail: int) -> int:
+    """A maximal stable set of ``avail``: it repeatedly takes a vertex of
+    minimum degree in what remains, the lowest one on a tie."""
+    chosen = 0
+    rem = avail
+    while rem:
+        v = -1
+        vdeg = rem.bit_count()
+        scan = rem
+        while scan:
+            low = scan & -scan
+            u = low.bit_length() - 1
+            scan ^= low
+            d = (adj[u] & rem).bit_count()
+            if d < vdeg:
+                vdeg = d
+                v = u
+                if not d:
+                    break
+        vbit = 1 << v
+        chosen |= vbit
+        rem &= ~(adj[v] | vbit)
+    return chosen
 
-    ``memo`` maps a closed neighborhood to (k, True) when its stability
-    number is k, or to (k, False) when that number is at least k.
+
+def _decide_local_max(
+    adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool]]
+) -> bool:
+    """True iff the stable set ``s`` of size ``k`` is maximum within N[S].
+
+    ``once`` is N(S) and ``twice`` the vertices of N(S) with at least two
+    neighbours in S. ``memo`` maps a closed neighborhood to (a, True) when
+    its stability number is a, or to (a, False) when that number is at
+    least a.
     """
-    once = twice = 0
-    rest = s
-    while rest:
-        low = rest & -rest
-        nbrs = adj[low.bit_length() - 1]
-        twice |= once & nbrs
-        once |= nbrs
-        rest ^= low
     hood = s | once
-    k = s.bit_count()
     known = memo.get(hood)
     if known is not None:
         bound, exact = known
@@ -218,9 +251,26 @@ def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]
             if cand & ~adj[lu.bit_length() - 1]:
                 memo[hood] = (k + 1, False)
                 return False
+    size = _greedy_stable(adj, hood).bit_count()
+    if size > k:
+        memo[hood] = (size, False)
+        return False
     a = _alpha_masked(adj, hood, k)
     memo[hood] = (a, a == k)
     return a == k
+
+
+def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]]) -> bool:
+    """_decide_local_max() for ``s``, with N(S) and its repeats built here."""
+    once = twice = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        nbrs = adj[low.bit_length() - 1]
+        twice |= once & nbrs
+        once |= nbrs
+        rest ^= low
+    return _decide_local_max(adj, s, s.bit_count(), once, twice, memo)
 
 
 def is_local_max_stable(g: Graph, s: int) -> bool:
@@ -285,6 +335,29 @@ def _forest_psi(adj: tuple[int, ...]) -> list[int] | None:
     return family
 
 
+def _walk_psi(adj: tuple[int, ...]) -> list[int]:
+    """The members of Psi, from one walk over every stable set.
+
+    Each stack entry (S, candidates, N(S), repeats, |S|) is a stable set
+    with the vertices that may still join it, as in enumerate_stable_sets();
+    a child's masks are one OR and one AND away from its parent's.
+    """
+    memo: dict[int, tuple[int, bool]] = {}
+    members = []
+    stack = [(0, full_mask(len(adj)), 0, 0, 0)]
+    while stack:
+        s, candidates, once, twice, k = stack.pop()
+        if _decide_local_max(adj, s, k, once, twice, memo):
+            members.append(s)
+        k += 1
+        while candidates:
+            low = candidates & -candidates
+            nbrs = adj[low.bit_length() - 1]
+            candidates ^= low
+            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k))
+    return members
+
+
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
     adj = g.adj
@@ -293,8 +366,7 @@ def psi(g: Graph) -> SetFamily:
         members = _forest_psi(adj)
         if members is not None:
             return SetFamily(g.n, members)
-    memo: dict[int, tuple[int, bool]] = {}
-    return SetFamily(g.n, [s for s in enumerate_stable_sets(g) if _is_local_max(adj, s, memo)])
+    return SetFamily(g.n, _walk_psi(adj))
 
 
 def min_nonempty_size(family: SetFamily) -> int | None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _strategies import forests, graphs, trees
 from lmss import stable
+from lmss.bitset import bits
 from lmss.graph import (
     complete,
     cycle,
@@ -169,6 +170,40 @@ def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
     assert psi(star).members == (0, 0b010, 0b100, 0b110)
 
 
+def test_greedy_reject_before_the_search(monkeypatch):
+    # K_{2,3} with sides {0, 1} and {2, 3, 4}: no neighbour is private to a
+    # vertex of {0, 1} or of {2, 3, 4}, so the 1-for-2 swap settles neither
+    k23 = from_edge_list(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    searches = []
+    search = stable._alpha_masked
+
+    def counted(adj, avail, floor=None):
+        searches.append((avail, floor))
+        return search(adj, avail, floor)
+
+    monkeypatch.setattr(stable, "_alpha_masked", counted)
+    memo = {}
+    assert not stable._is_local_max(k23.adj, 0b00011, memo)
+    assert searches == []  # the greedy takes {2, 3, 4}
+    assert memo == {0b11111: (3, False)}
+    assert stable._is_local_max(k23.adj, 0b11100, memo)
+    assert searches == [(0b11111, 3)]
+    assert memo == {0b11111: (3, True)}
+    assert psi(k23).members == (0, 0b01100, 0b10100, 0b11000, 0b11100)
+
+
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=200)
+def test_greedy_stable_set_is_maximal_within_avail(g, data):
+    avail = data.draw(st.integers(0, (1 << g.n) - 1))
+    found = stable._greedy_stable(g.adj, avail)
+    assert found & ~avail == 0
+    assert is_stable(g, found)
+    assert found.bit_count() <= brute_alpha_table(g)[avail]
+    for v in bits(avail & ~found):
+        assert g.adj[v] & found
+
+
 def test_psi_p4_frozen():
     fam = psi(path(4))
     assert fam.members == (0, 0b0001, 0b1000, 0b0101, 0b1001, 0b1010)
@@ -210,28 +245,28 @@ def test_psi_matches_naive(g):
     assert set(psi(g).members) == brute_psi(g)
 
 
-def _psi_streamed(g):
-    """psi(g), and whether it consumed the stable-set stream."""
+def _psi_walked(g):
+    """psi(g), and the arguments of every local-max decision it made."""
     calls = []
-    stream = stable.enumerate_stable_sets
+    decide = stable._decide_local_max
 
-    def counted(h):
-        calls.append(h)
-        return stream(h)
+    def counted(*args):
+        calls.append(args)
+        return decide(*args)
 
-    stable.enumerate_stable_sets = counted
+    stable._decide_local_max = counted
     try:
         fam = psi(g)
     finally:
-        stable.enumerate_stable_sets = stream
-    return fam, bool(calls)
+        stable._decide_local_max = decide
+    return fam, calls
 
 
 @given(forests(max_n=12))
 @settings(max_examples=200)
 def test_forest_psi_matches_naive(g):
-    fam, streamed = _psi_streamed(g)
-    assert not streamed
+    fam, decisions = _psi_walked(g)
+    assert not decisions
     assert set(fam.members) == brute_psi(g)
 
 
@@ -262,11 +297,43 @@ def trees_plus_chord(draw):
 
 @given(st.one_of(forests_plus_triangle(), trees_plus_chord()))
 @settings(max_examples=120)
-def test_graphs_with_a_cycle_take_the_stream(g):
+def test_graphs_with_a_cycle_take_the_walk(g):
     assert stable._forest_psi(g.adj) is None
-    fam, streamed = _psi_streamed(g)
-    assert streamed
+    fam, decisions = _psi_walked(g)
+    assert decisions
     assert set(fam.members) == brute_psi(g)
+
+
+@st.composite
+def graphs_with_a_cycle(draw):
+    """A graph with at least as many edges as vertices, so with a cycle."""
+    n = draw(st.integers(3, 16))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n)))
+
+
+@given(graphs_with_a_cycle())
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_stream_filter(g):
+    fam, decisions = _psi_walked(g)
+    # each stable set once, with N(S) and the vertices of N(S) that have two
+    # or more neighbours in S carried down the walk, not rebuilt
+    assert sorted(s for _, s, *_ in decisions) == sorted(enumerate_stable_sets(g))
+    for _, s, k, once, twice, _ in decisions:
+        counts = [(row & s).bit_count() for row in g.adj]
+        assert k == s.bit_count()
+        assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
+        assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
+    streamed = SetFamily(g.n, filter(lambda s: is_local_max_stable(g, s), enumerate_stable_sets(g)))
+    assert fam == streamed
+
+
+@pytest.mark.parametrize("n,p,members", [(32, 20, 41), (40, 30, 69)])
+def test_walk_anchors(n, p, members):
+    g = random_graph(n, p, 100, 0)
+    fam = psi(g)
+    assert len(fam) == members
+    assert fam == SetFamily(n, filter(lambda s: is_local_max_stable(g, s), enumerate_stable_sets(g)))
 
 
 def test_forest_anchors_beyond_the_stream():
@@ -325,6 +392,7 @@ def test_family_canonical_order(g):
     keys = [(m.bit_count(), m) for m in fam.members]
     assert keys == sorted(keys)
     assert SetFamily(g.n, reversed(fam.members)) == fam
+    assert SetFamily(g.n, [*fam.members, *reversed(fam.members), 0]) == fam
 
 
 def test_psi_min_size():
