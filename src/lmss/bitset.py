@@ -17,10 +17,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def to_list(mask: int) -> list[int]:
-    return list(bits(mask))
-
-
 def from_iter(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:

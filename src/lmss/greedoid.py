@@ -49,7 +49,8 @@ class GreedoidVerdict:
 
 
 def _require_empty(f: SetFamily) -> None:
-    if 0 not in f:
+    # the canonical order puts the empty set first
+    if f.members[:1] != (0,):
         raise ValueError("family violates the contract: the empty set is not a member")
 
 

@@ -1,9 +1,14 @@
 """Exact stability computations.
 
-alpha() is an exact branch-and-bound that branches in/out on a vertex of
-maximum residual degree and prunes with a greedy clique-cover upper bound.
-The stable-set stream inserts vertices in increasing order, so each stable
-set is produced exactly once and non-stable candidates never materialize.
+alpha() is an exact branch-and-bound. While some vertex v of what remains
+has degree at most 1 it takes v without branching, since some maximum
+stable set holds v (at degree 1, swap its neighbour for it). Otherwise it
+prunes with a greedy clique-cover upper bound and branches on which vertex
+of N[v] the stable set takes, for v of minimum degree: every maximal
+stable set meets N[v], and each branch leaves the vertices tried before it
+out. The stable-set stream inserts vertices in increasing order, so each
+stable set is produced exactly once and non-stable candidates never
+materialize.
 On a graph with a cycle, psi() walks the same tree of stable sets with an
 explicit stack. Each entry carries S, the vertices that may still join it,
 N(S), the vertices of N(S) with two or more neighbours in S, and |S|; the
@@ -15,8 +20,6 @@ decides whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
   (S - v) + {a, b} is a larger stable set and S is rejected at once;
-* otherwise a greedy stable set of N[S], which repeatedly takes a vertex
-  of minimum degree in what remains, rejects S when it has more vertices;
 * otherwise the branch-and-bound runs floored: it starts from best = |S|
   (S is stable in N[S]) and stops at the first larger stable set, so a
   greedy clique cover of N[S] with |S| cliques accepts S at the root.
@@ -151,7 +154,8 @@ def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) ->
     Without ``floor`` the result is exact. With ``floor`` k, which must not
     exceed that number, the search starts from best = k and stops at the
     first stable set larger than k: the result is k when the stability
-    number is k, and otherwise a lower bound on it greater than k.
+    number is k, and otherwise a lower bound on it greater than k. The
+    search recurses only where every vertex left has degree 2 or more.
     """
     best = 0 if floor is None else floor
     decide = floor is not None
@@ -159,28 +163,43 @@ def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) ->
     def bb(rem: int, size: int) -> bool:
         """Search ``rem``; True once a decision search may stop."""
         nonlocal best
-        if size + rem.bit_count() <= best:
-            return False
-        # pick the vertex of maximum degree inside rem
-        v = -1
-        vdeg = -1
-        scan = rem
-        while scan:
-            low = scan & -scan
-            u = low.bit_length() - 1
-            scan ^= low
-            d = (adj[u] & rem).bit_count()
-            if d > vdeg:
-                vdeg = d
-                v = u
-        if vdeg <= 0:
-            # all remaining vertices are isolated here; take them
-            best = size + rem.bit_count()
-            return decide
+        while True:
+            if size + rem.bit_count() <= best:
+                return False
+            if not rem:
+                best = size
+                return decide
+            # a vertex of minimum degree inside rem, the first of degree <= 1
+            v = -1
+            vdeg = rem.bit_count()
+            scan = rem
+            while scan:
+                low = scan & -scan
+                u = low.bit_length() - 1
+                scan ^= low
+                d = (adj[u] & rem).bit_count()
+                if d < vdeg:
+                    vdeg = d
+                    v = u
+                    if d <= 1:
+                        break
+            if vdeg > 1:
+                break
+            # some maximum stable set of rem holds v: at degree 1, swap its
+            # neighbour for v
+            rem &= ~(adj[v] | 1 << v)
+            size += 1
         if size + _clique_cover_bound(adj, rem) <= best:
             return False
-        vbit = 1 << v
-        return bb(rem & ~(adj[v] | vbit), size + 1) or bb(rem ^ vbit, size)
+        # every maximal stable set meets N[v]; branch on its first vertex there
+        branch = (adj[v] & rem) | 1 << v
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            if bb(rem & ~(adj[low.bit_length() - 1] | low), size + 1):
+                return True
+            rem ^= low
+        return False
 
     bb(avail, 0)
     return best
@@ -195,31 +214,6 @@ def omega(g: Graph) -> SetFamily:
     """All maximum stable sets, canonically ordered."""
     a = alpha(g)
     return SetFamily(g.n, (s for s in enumerate_stable_sets(g) if s.bit_count() == a))
-
-
-def _greedy_stable(adj: tuple[int, ...], avail: int) -> int:
-    """A maximal stable set of ``avail``: it repeatedly takes a vertex of
-    minimum degree in what remains, the lowest one on a tie."""
-    chosen = 0
-    rem = avail
-    while rem:
-        v = -1
-        vdeg = rem.bit_count()
-        scan = rem
-        while scan:
-            low = scan & -scan
-            u = low.bit_length() - 1
-            scan ^= low
-            d = (adj[u] & rem).bit_count()
-            if d < vdeg:
-                vdeg = d
-                v = u
-                if not d:
-                    break
-        vbit = 1 << v
-        chosen |= vbit
-        rem &= ~(adj[v] | vbit)
-    return chosen
 
 
 def _decide_local_max(
@@ -251,10 +245,6 @@ def _decide_local_max(
             if cand & ~adj[lu.bit_length() - 1]:
                 memo[hood] = (k + 1, False)
                 return False
-    size = _greedy_stable(adj, hood).bit_count()
-    if size > k:
-        memo[hood] = (size, False)
-        return False
     a = _alpha_masked(adj, hood, k)
     memo[hood] = (a, a == k)
     return a == k

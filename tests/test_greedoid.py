@@ -101,6 +101,8 @@ def test_figure3_families_are_greedoids(name):
 @pytest.mark.parametrize("n,seed", [(6, 1), (9, 2), (12, 3), (14, 4)])
 def test_random_tree_families_pass_exchange(n, seed):
     f = psi(random_tree(n, seed))
+    assert is_greedoid(f).status == GREEDOID
+    assert f._member_set is None  # the verdict never builds the set behind `in`
     assert check_accessibility(f) is None
     assert check_exchange(f) is None
 

@@ -170,7 +170,7 @@ def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
     assert psi(star).members == (0, 0b010, 0b100, 0b110)
 
 
-def test_greedy_reject_before_the_search(monkeypatch):
+def test_floored_search_reject_then_exact_memo(monkeypatch):
     # K_{2,3} with sides {0, 1} and {2, 3, 4}: no neighbour is private to a
     # vertex of {0, 1} or of {2, 3, 4}, so the 1-for-2 swap settles neither
     k23 = from_edge_list(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
@@ -184,24 +184,12 @@ def test_greedy_reject_before_the_search(monkeypatch):
     monkeypatch.setattr(stable, "_alpha_masked", counted)
     memo = {}
     assert not stable._is_local_max(k23.adj, 0b00011, memo)
-    assert searches == []  # the greedy takes {2, 3, 4}
+    assert searches == [(0b11111, 2)]  # it stops at {2, 3, 4}
     assert memo == {0b11111: (3, False)}
     assert stable._is_local_max(k23.adj, 0b11100, memo)
-    assert searches == [(0b11111, 3)]
+    assert searches == [(0b11111, 2), (0b11111, 3)]
     assert memo == {0b11111: (3, True)}
     assert psi(k23).members == (0, 0b01100, 0b10100, 0b11000, 0b11100)
-
-
-@given(graphs(max_n=10), st.data())
-@settings(max_examples=200)
-def test_greedy_stable_set_is_maximal_within_avail(g, data):
-    avail = data.draw(st.integers(0, (1 << g.n) - 1))
-    found = stable._greedy_stable(g.adj, avail)
-    assert found & ~avail == 0
-    assert is_stable(g, found)
-    assert found.bit_count() <= brute_alpha_table(g)[avail]
-    for v in bits(avail & ~found):
-        assert g.adj[v] & found
 
 
 def test_psi_p4_frozen():
@@ -262,6 +250,12 @@ def _psi_walked(g):
     return fam, calls
 
 
+def _stream_filter(g):
+    """Psi of ``g`` from the stable-set stream, decided with one memo per graph."""
+    memo = {}
+    return SetFamily(g.n, (s for s in enumerate_stable_sets(g) if stable._is_local_max(g.adj, s, memo)))
+
+
 @given(forests(max_n=12))
 @settings(max_examples=200)
 def test_forest_psi_matches_naive(g):
@@ -273,8 +267,7 @@ def test_forest_psi_matches_naive(g):
 @given(forests(max_n=20))
 @settings(max_examples=30, deadline=None)
 def test_forest_psi_matches_stream_filter(g):
-    streamed = SetFamily(g.n, filter(lambda s: is_local_max_stable(g, s), enumerate_stable_sets(g)))
-    assert psi(g) == streamed
+    assert psi(g) == _stream_filter(g)
 
 
 @st.composite
@@ -324,8 +317,7 @@ def test_walk_matches_stream_filter(g):
         assert k == s.bit_count()
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
         assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
-    streamed = SetFamily(g.n, filter(lambda s: is_local_max_stable(g, s), enumerate_stable_sets(g)))
-    assert fam == streamed
+    assert fam == _stream_filter(g)
 
 
 @pytest.mark.parametrize("n,p,members", [(32, 20, 41), (40, 30, 69)])
@@ -333,7 +325,7 @@ def test_walk_anchors(n, p, members):
     g = random_graph(n, p, 100, 0)
     fam = psi(g)
     assert len(fam) == members
-    assert fam == SetFamily(n, filter(lambda s: is_local_max_stable(g, s), enumerate_stable_sets(g)))
+    assert fam == _stream_filter(g)
 
 
 def test_forest_anchors_beyond_the_stream():
@@ -352,6 +344,36 @@ def test_forest_psi_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert len(fam) == 77 * 76 // 2  # |Psi(P_2k)| = C(k + 2, 2)
+
+
+def _tree_alpha(g):
+    """alpha of a tree from an in/out DP over one BFS order from vertex 0."""
+    order, parent = [0], {0: None}
+    for v in order:
+        for u in bits(g.adj[v]):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    take, skip = [1] * g.n, [0] * g.n
+    for v in reversed(order[1:]):
+        take[parent[v]] += skip[v]
+        skip[parent[v]] += max(take[v], skip[v])
+    return max(take[0], skip[0])
+
+
+def test_sparse_alpha_does_not_recurse():
+    # a vertex of degree <= 1 is taken without a branch, and a cycle branches
+    # once on the closed neighbourhood of a vertex
+    tree = random_tree(2000, 0)
+    cases = [(path(3000), 1500), (cycle(1001), 500), (edgeless(3000), 3000), (tree, _tree_alpha(tree))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        found = [alpha(g) for g, _ in cases]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == [a for _, a in cases]
+    assert found[-1] == 1131
 
 
 @pytest.mark.parametrize("n,seed", [(13, 0), (14, 1), (15, 2), (16, 3)])
