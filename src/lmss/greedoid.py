@@ -12,6 +12,16 @@ the family, and Z is accessible when some such v exists. A pair (X, Y)
 with |X| = |Y| + 1 then fails exchange exactly when X & ext(Y) == 0, and
 members of one size with equal ext masks fail against the same X, so
 only the first of each group (the canonically smallest) is tried.
+
+The groups of one size are tried all at once (Lamport's multiple byte
+processing with full-word instructions, on Python ints): their ext masks
+are packed into one int, one field of w = 8 * (universe // 8 + 1) bits
+per group in canonical order. A mask fills at most w - 1 bits, so each
+field keeps a spare top bit. For a member X, adding w - 1 ones to every
+field of packed & (X copied into each field) sets a field's top bit
+exactly when X meets that group's mask, and the spare bit keeps the carry
+inside the field. The lowest field whose top bit stays clear names the
+canonically smallest Y that X fails against.
 """
 
 from __future__ import annotations
@@ -78,19 +88,38 @@ def _extension_map(f: SetFamily) -> tuple[dict[int, int], int | None]:
     return ext, stuck
 
 
-def _exchange_failure(ext: dict[int, int]) -> tuple[int, int] | None:
+def _exchange_failure(ext: dict[int, int], universe: int) -> tuple[int, int] | None:
     """The canonically smallest (X, Y) with |X| = |Y| + 1 and X & ext(Y) == 0.
 
-    ``ext`` is keyed by the members in canonical order.
+    ``ext`` is keyed by the members in canonical order, each a subset of
+    ``range(universe)``.
     """
     # size -> {ext mask: first member with it}; insertion follows canonical order
     groups: dict[int, dict[int, int]] = {}
     for y, e in ext.items():
         groups.setdefault(y.bit_count(), {}).setdefault(e, y)
+    # one w-bit field per group, with a spare top bit (see the module docstring)
+    nbytes = universe // 8 + 1
+    w = 8 * nbytes
+    one = (1).to_bytes(nbytes, "little")
+    size = level = None
     for x in ext:
-        for e, y in groups.get(x.bit_count() - 1, {}).items():
-            if not x & e:
-                return x, y
+        k = x.bit_count()
+        if k != size:
+            size, level = k, groups.get(k - 1)
+            if level is not None:
+                packed = int.from_bytes(b"".join(e.to_bytes(nbytes, "little") for e in level), "little")
+                rep = int.from_bytes(one * len(level), "little")
+                high = rep << (w - 1)
+                low = high - rep
+        if level is None:
+            continue
+        # a field's top bit is set iff X meets that group's ext mask
+        hit = ((packed & x * rep) + low) & high
+        if hit != high:
+            zero = high ^ hit
+            first = (zero & -zero).bit_length() // w - 1
+            return x, list(level.values())[first]
     return None
 
 
@@ -101,7 +130,7 @@ def check_accessibility(f: SetFamily) -> int | None:
 
 def check_exchange(f: SetFamily) -> tuple[int, int] | None:
     """None on pass, else the canonically smallest failing pair (X, Y)."""
-    return _exchange_failure(_extension_map(f)[0])
+    return _exchange_failure(_extension_map(f)[0], f.universe)
 
 
 def is_greedoid(f: SetFamily) -> GreedoidVerdict:
@@ -109,7 +138,7 @@ def is_greedoid(f: SetFamily) -> GreedoidVerdict:
     ext, stuck = _extension_map(f)
     if stuck is not None:
         return GreedoidVerdict(ACCESSIBILITY_FAIL, stuck, None, len(f), f.universe)
-    exc = _exchange_failure(ext)
+    exc = _exchange_failure(ext, f.universe)
     if exc is not None:
         return GreedoidVerdict(EXCHANGE_FAIL, exc[0], exc[1], len(f), f.universe)
     return GreedoidVerdict(GREEDOID, None, None, len(f), f.universe)

@@ -155,3 +155,25 @@ def brute_exchange_witness(members: set[int]) -> tuple[int, int] | None:
         if not any(y | (1 << v) in members for v in range(diff.bit_length()) if diff >> v & 1):
             failing.append((x, y))
     return min(failing, key=lambda p: (_canonical(p[0]), _canonical(p[1])), default=None)
+
+
+def brute_verdict(members: set[int], universe: int) -> dict:
+    """The `is_greedoid(...).as_dict()` verdict, from the definitional witnesses above."""
+    acc, exc = brute_accessibility_witness(members), brute_exchange_witness(members)
+    if acc is not None:
+        status, x, y = "ACCESSIBILITY_FAIL", acc, None
+    elif exc is not None:
+        status, (x, y) = "EXCHANGE_FAIL", exc
+    else:
+        status, x, y = "GREEDOID", None, None
+
+    def vertices(mask: int | None) -> list[int] | None:
+        return None if mask is None else [v for v in range(universe) if mask >> v & 1]
+
+    return {
+        "status": status,
+        "witness_x": vertices(x),
+        "witness_y": vertices(y),
+        "family_size": len(members),
+        "universe": universe,
+    }

@@ -20,6 +20,7 @@ from lmss.greedoid import is_greedoid
 from lmss.ops import zykov_sum
 from lmss.stable import alpha, min_nonempty_size, psi
 from lmss.theorems import sweep
+from oracles import brute_psi, brute_verdict
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,19 @@ def test_check_exit_codes_and_json(capsys):
     data = json.loads(out)
     assert data == is_greedoid(psi(named_fixture("W_FIG1"))).as_dict()
     assert data["witness_x"] == [3, 5]
+
+
+# Psi(G) failed accessibility, not exchange, on every seeded G(n, p) tried
+# (n 7-14), so these pin accessibility witnesses; one greedoid pins exit 0
+@pytest.mark.parametrize(
+    "n,num,den,seed", [(11, 1, 5, 2), (12, 3, 10, 3), (13, 1, 5, 3), (14, 3, 10, 0), (13, 1, 5, 4)]
+)
+def test_check_json_matches_definitional_oracle(capsys, n, num, den, seed):
+    expr = f"gnp:{n}:{num}/{den}"
+    code, out, _ = run_cli(capsys, "check", "--gen", expr, "--seed", str(seed), "--format", "json")
+    expected = brute_verdict(brute_psi(random_graph(n, num, den, seed)), n)
+    assert json.loads(out) == expected
+    assert code == (0 if expected["status"] == "GREEDOID" else 1)
 
 
 def test_check_plain_output(capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _strategies import graphs
-from lmss.bitset import bits
 from lmss.graph import named_fixture, parse_vertex_set, path, random_tree
 from lmss.greedoid import (
     ACCESSIBILITY_FAIL,
@@ -17,7 +16,12 @@ from lmss.greedoid import (
     is_greedoid,
 )
 from lmss.stable import SetFamily, psi
-from oracles import brute_accessibility_witness, brute_exchange_witness, brute_is_greedoid
+from oracles import (
+    brute_accessibility_witness,
+    brute_exchange_witness,
+    brute_is_greedoid,
+    brute_verdict,
+)
 
 
 def fam(universe, members):
@@ -107,6 +111,12 @@ def test_random_tree_families_pass_exchange(n, seed):
     assert check_exchange(f) is None
 
 
+def test_large_tree_family_is_greedoid():
+    # 24 vertices pack ext masks into 32-bit fields, and levels hold thousands of members
+    verdict = is_greedoid(psi(random_tree(24, 0)))
+    assert (verdict.status, verdict.family_size) == (GREEDOID, 11470)
+
+
 def test_chain_g2():
     g2 = named_fixture("G2_FIG3")
     f = psi(g2)
@@ -191,28 +201,37 @@ def families(draw, max_n: int = 8) -> SetFamily:
     return fam(n, members)
 
 
-def _oracle_verdict(f: SetFamily) -> dict:
-    members = set(f.members)
-    acc, exc = brute_accessibility_witness(members), brute_exchange_witness(members)
-    if acc is not None:
-        status, x, y = ACCESSIBILITY_FAIL, acc, None
-    elif exc is not None:
-        status, (x, y) = EXCHANGE_FAIL, exc
-    else:
-        status, x, y = GREEDOID, None, None
-    return {
-        "status": status,
-        "witness_x": None if x is None else list(bits(x)),
-        "witness_y": None if y is None else list(bits(y)),
-        "family_size": len(members),
-        "universe": f.universe,
-    }
-
-
 @given(families())
 @settings(max_examples=300)
 def test_witnesses_match_definitional_oracles_on_arbitrary_families(f):
     members = set(f.members)
     assert check_accessibility(f) == brute_accessibility_witness(members)
     assert check_exchange(f) == brute_exchange_witness(members)
-    assert is_greedoid(f).as_dict() == _oracle_verdict(f)
+    assert is_greedoid(f).as_dict() == brute_verdict(members, f.universe)
+
+
+@st.composite
+def wide_families(draw) -> SetFamily:
+    """An accessible family on a universe next to a field-width step, with a planted exchange failure.
+
+    ``_exchange_failure`` packs ext masks into fields of 8 * (universe // 8 + 1)
+    bits. In the planted members, the pairs {a, t} and {q, t} meet the ext
+    of a singleton in the top vertex t = n - 1 and one more, so a field with
+    no spare top bit would carry out of it; {a, q} has ext 0, and {a, w, t}
+    fails against it.
+    """
+    n = draw(st.sampled_from((7, 8, 15, 16, 23, 24, 40)))
+    a, q, w = (1 << v for v in draw(st.lists(st.integers(0, n - 2), min_size=3, max_size=3, unique=True)))
+    t = 1 << (n - 1)
+    members = [0, a, q, t, a | q, a | t, q | t, a | w | t]
+    for base, v in draw(st.lists(st.tuples(st.integers(min_value=0), st.integers(0, n - 1)), max_size=30)):
+        members.append(members[base % len(members)] | 1 << v)
+    return fam(n, members)
+
+
+@given(wide_families())
+@settings(max_examples=150)
+def test_packed_exchange_test_at_field_width_boundaries(f):
+    members = set(f.members)
+    assert check_exchange(f) == brute_exchange_witness(members)
+    assert is_greedoid(f).as_dict() == brute_verdict(members, f.universe)
