@@ -33,35 +33,34 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+_GEN_ONE_PARAM = {"complete": G.complete, "path": G.path, "cycle": G.cycle, "edgeless": G.edgeless}
+
+
 def _parse_gen_expr(expr: str, seed: int) -> Graph:
     if expr in G.FIXTURE_NAMES:
         return G.named_fixture(expr)
-    parts = expr.split(":")
-    kind = parts[0]
+    kind, *params = expr.split(":")
+    if kind not in (*_GEN_ONE_PARAM, "tree", "gnp") or len(params) != 1 + (kind == "gnp"):
+        raise ValueError(
+            f"unknown generator expression {expr!r} "
+            "(use complete:N, path:N, cycle:N, edgeless:N, tree:N, gnp:N:P or a fixture name)"
+        )
     try:
-        if kind in ("complete", "path", "cycle", "edgeless", "tree") and len(parts) == 2:
-            n = int(parts[1])
-            if kind == "complete":
-                return G.complete(n)
-            if kind == "path":
-                return G.path(n)
-            if kind == "cycle":
-                return G.cycle(n)
-            if kind == "edgeless":
-                return G.edgeless(n)
-            return G.random_tree(n, seed)
-        if kind == "gnp" and len(parts) == 3:
-            n = int(parts[1])
-            p = Fraction(parts[2])
+        n = int(params[0])
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        if kind == "gnp":
+            p = Fraction(params[1])
             if not 0 <= p <= 1:
                 raise ValueError("edge probability must be in [0, 1]")
             return G.random_graph(n, p.numerator, p.denominator, seed)
+        if kind == "tree":
+            return G.random_tree(n, seed)
+        return _GEN_ONE_PARAM[kind](n)
+    except ZeroDivisionError:
+        raise ValueError(f"bad generator expression {expr!r}: zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"bad generator expression {expr!r}: {exc}") from None
-    raise ValueError(
-        f"unknown generator expression {expr!r} "
-        "(use complete:N, path:N, cycle:N, edgeless:N, tree:N, gnp:N:P or a fixture name)"
-    )
 
 
 def _read_graph_text(text: str) -> Graph:
@@ -80,23 +79,13 @@ def _load_file(path: str) -> Graph:
 
 
 def _graph_from_flags(args) -> Graph:
-    sources = [
-        ("fixture", args.fixture),
-        ("graph6", args.graph6),
-        ("file", args.file),
-        ("gen", args.gen),
-    ]
-    given = [(k, v) for k, v in sources if v is not None]
+    given = [(prefix, value) for prefix, value in (
+        ("fixture", args.fixture), ("g6", args.graph6), ("file", args.file), ("gen", args.gen),
+    ) if value is not None]
     if len(given) != 1:
         raise ValueError("exactly one of --fixture, --graph6, --file, --gen is required")
-    kind, value = given[0]
-    if kind == "fixture":
-        return G.named_fixture(value)
-    if kind == "graph6":
-        return G.parse_graph6(value)
-    if kind == "file":
-        return _load_file(value)
-    return _parse_gen_expr(value, args.seed)
+    prefix, value = given[0]
+    return _graph_from_spec(f"{prefix}:{value}", args.seed)
 
 
 def _graph_from_spec(spec: str, seed: int) -> Graph:

@@ -29,7 +29,6 @@ class CompositeGraph:
     offsets: tuple[int, ...]
     part_of: tuple[int, ...]
     index_in_part: tuple[int, ...]
-    host_graph: Graph | None = None
     host_vertices: int = 0
 
     def part_mask(self, i: int) -> int:
@@ -43,10 +42,7 @@ class CompositeGraph:
 
     def restrict_host(self, s: int) -> int:
         """S intersected with the host vertices, in host coordinates."""
-        out = 0
-        for v in bits(s & self.host_vertices):
-            out |= 1 << self.index_in_part[v]
-        return out
+        return s & self.host_vertices  # the host is laid out first
 
     def lift(self, m: int, i: int) -> int:
         """An operand-i vertex set expressed in composite coordinates."""
@@ -128,8 +124,7 @@ def corona(x: Graph, hs: list[Graph]) -> CompositeGraph:
         for v in range(h.n):
             adj[off + v] = (h.adj[v] << off) | (1 << i)
     return CompositeGraph(Graph(n, tuple(adj)), tuple(hs), offsets,
-                          tuple(part_of), tuple(index_in_part),
-                          host_graph=x, host_vertices=full_mask(x.n))
+                          tuple(part_of), tuple(index_in_part), host_vertices=full_mask(x.n))
 
 
 def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
@@ -152,7 +147,7 @@ def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
         for v in range(g.n):
             adj[off + v] = (g.adj[v] << off) | cross
     return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets,
-                          tuple(part_of), tuple(index_in_part), host_graph=h0)
+                          tuple(part_of), tuple(index_in_part))
 
 
 def lexicographic_product(h0: Graph, h: Graph) -> CompositeGraph:

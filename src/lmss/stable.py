@@ -47,10 +47,10 @@ states:
 
 A vertex in S takes OK, NEED and CLR children, and is IU when one of them
 is NEED or CLR; a vertex outside S takes IF, IU, OK and CLR children. A
-root may take any state but NEED, and components multiply. psi() runs this
-DP, bottom-up after one iterative DFS per component, on any graph with
-fewer edges than vertices, and the walk on graphs where the DFS meets a
-cycle and on all others.
+root may take any state but NEED, and components multiply. psi() tries
+this DP first, bottom-up after one iterative DFS per component, and runs
+the walk instead when a DFS meets a cycle; a failed DFS costs at most one
+pass over the vertices.
 """
 
 from __future__ import annotations
@@ -350,13 +350,10 @@ def _walk_psi(adj: tuple[int, ...]) -> list[int]:
 
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
-    adj = g.adj
-    # a forest has fewer edges than vertices, or no vertex at all
-    if sum(row.bit_count() for row in adj) // 2 < max(g.n, 1):
-        members = _forest_psi(adj)
-        if members is not None:
-            return SetFamily(g.n, members)
-    return SetFamily(g.n, _walk_psi(adj))
+    members = _forest_psi(g.adj)
+    if members is None:
+        members = _walk_psi(g.adj)
+    return SetFamily(g.n, members)
 
 
 def min_nonempty_size(family: SetFamily) -> int | None:
@@ -366,7 +363,3 @@ def min_nonempty_size(family: SetFamily) -> int | None:
             return m.bit_count()
     return None
 
-
-def psi_min_size(g: Graph) -> int | None:
-    """Minimum size of a nonempty local maximum stable set (None only for n=0)."""
-    return min_nonempty_size(psi(g))

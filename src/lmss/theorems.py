@@ -12,9 +12,7 @@ is one table row.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
@@ -518,32 +516,6 @@ def run_on_instance(theorem: str, instance, seed: int | None = None) -> TheoremR
     return entry.verify(*entry.shape.args(instance), seed)
 
 
-def _sweep_task(args) -> TheoremReport:
-    theorem, max_size, seed = args
-    return run_on_instance(theorem, random_instance(theorem, max_size, seed), seed)
-
-
-def worker_count() -> int:
-    """Parallelism cap from PSI_THREADS: unset means 1, 0 means all cores."""
-    raw = os.environ.get("PSI_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValueError(f"PSI_THREADS must be an integer, got {raw!r}") from None
-    if k < 0:
-        raise ValueError("PSI_THREADS must be non-negative")
-    return k if k > 0 else (os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items: list) -> list:
-    workers = worker_count()
-    if workers <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (4 * workers))
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
 def sweep(theorem: str, *, max_size: int = 12, count: int = 100, seed: int = 0,
           exhaustive: bool = False) -> list[TheoremReport]:
     """Run one theorem over generated instances; order is deterministic.
@@ -554,15 +526,9 @@ def sweep(theorem: str, *, max_size: int = 12, count: int = 100, seed: int = 0,
     if exhaustive:
         if entry.exhaustive is None:
             raise ValueError(f"no exhaustive sweep defined for {theorem!r}")
-        tasks = [(theorem, inst) for inst in entry.exhaustive(max_size)]
-        return _parallel_map(_exhaustive_task, tasks)
+        return [run_on_instance(theorem, inst) for inst in entry.exhaustive(max_size)]
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rand = SplitMix64(seed)
     seeds = [rand.next_u64() for _ in range(count)]
-    return _parallel_map(_sweep_task, [(theorem, max_size, s) for s in seeds])
-
-
-def _exhaustive_task(args) -> TheoremReport:
-    theorem, instance = args
-    return run_on_instance(theorem, instance)
+    return [run_on_instance(theorem, random_instance(theorem, max_size, s), s) for s in seeds]

@@ -1,7 +1,6 @@
 """The CLI is a thin adapter: outputs must match direct library calls."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -255,6 +254,9 @@ def test_gen_bad_expression(capsys):
     assert code == 2 and "generator expression" in err
     code, _, err = run_cli(capsys, "gen", "gnp:5:1.5")
     assert code == 2
+    for expr in ("gnp:5:1/0", "gnp:5:0/0", "edgeless:-1", "gnp:-3:0.5"):
+        code, _, err = run_cli(capsys, "psi", "--gen", expr)
+        assert code == 2 and "bad generator expression" in err, expr
 
 
 def test_file_and_stdin_inputs(tmp_path, capsys, monkeypatch):
@@ -287,33 +289,21 @@ def test_graph6_parse_error_exit_2(capsys):
     assert code == 2 and "byte offset" in err
 
 
-def child_env(**overrides):
-    """Environment for a `python -m lmss` child: the parent's plus overrides.
-
-    The child must import `lmss` the same way this suite does, so it keeps
-    whatever the parent has (an install, or `PYTHONPATH=src`).
-    """
-    return {**os.environ, **overrides}
-
-
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "lmss", "check", "--fixture", "G1_FIG3"],
-        capture_output=True, text=True, env=child_env(),
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "GREEDOID" in proc.stdout
 
 
-def test_psi_threads_env_accepted(monkeypatch):
-    # --count 6 with two workers takes the process-pool path of the sweep.
+def test_module_verify_matches_library():
     proc = subprocess.run(
         [sys.executable, "-m", "lmss", "verify", "L4_ZYKOV_BOUND",
          "--sweep", "8", "--count", "6", "--seed", "11", "--format", "json"],
-        capture_output=True, text=True, env=child_env(PSI_THREADS="2"),
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    # The reference is the serial path, whatever PSI_THREADS the caller set.
-    monkeypatch.setenv("PSI_THREADS", "1")
     expected = [r.as_dict() for r in sweep("L4_ZYKOV_BOUND", max_size=8, count=6, seed=11)]
     assert json.loads(proc.stdout) == expected

@@ -31,7 +31,6 @@ from lmss.stable import (
     min_nonempty_size,
     omega,
     psi,
-    psi_min_size,
 )
 from lmss.theorems import corpus_upto
 from oracles import (
@@ -418,10 +417,10 @@ def test_family_canonical_order(g):
 
 
 def test_psi_min_size():
-    assert psi_min_size(named_fixture("Z_P3_P3_FIG4")) == 2
-    assert psi_min_size(named_fixture("Z_K2_P3_FIG4")) == 1
-    assert psi_min_size(complete(5)) == 1
-    assert psi_min_size(edgeless(0)) is None
+    assert min_nonempty_size(psi(named_fixture("Z_P3_P3_FIG4"))) == 2
+    assert min_nonempty_size(psi(named_fixture("Z_K2_P3_FIG4"))) == 1
+    assert min_nonempty_size(psi(complete(5))) == 1
+    assert min_nonempty_size(psi(edgeless(0))) is None
     assert min_nonempty_size(SetFamily(3, [0])) is None
 
 

@@ -405,21 +405,29 @@ def test_report_serialization_shape():
     assert d["inputs"]["parts"] == ["A_", "Bg"]
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("PSI_THREADS", raising=False)
-    assert theorems.worker_count() == 1
-    monkeypatch.setenv("PSI_THREADS", "3")
-    assert theorems.worker_count() == 3
-    monkeypatch.setenv("PSI_THREADS", "0")
-    assert theorems.worker_count() >= 1
-    monkeypatch.setenv("PSI_THREADS", "x")
-    with pytest.raises(ValueError):
-        theorems.worker_count()
+def test_sweep_goes_through_module_globals(monkeypatch):
+    # Tracers shim these module globals and count reports through them, so a
+    # sweep must look both names up on the module for every instance.
+    seeded = sweep("L4_ZYKOV_BOUND", max_size=8, count=5, seed=3)
+    exhaustive = sweep("T2_TREE", max_size=4, exhaustive=True)
+    calls = {"run": 0, "draw": 0}
+    real_run, real_draw = theorems.run_on_instance, theorems.random_instance
 
+    def counting_run(*args):
+        calls["run"] += 1
+        return real_run(*args)
 
-def test_parallel_sweep_matches_serial(monkeypatch):
-    monkeypatch.setenv("PSI_THREADS", "2")
-    par = sweep("L4_ZYKOV_BOUND", max_size=8, count=8, seed=3)
-    monkeypatch.setenv("PSI_THREADS", "1")
-    ser = sweep("L4_ZYKOV_BOUND", max_size=8, count=8, seed=3)
-    assert [r.as_dict() for r in par] == [r.as_dict() for r in ser]
+    def counting_draw(*args):
+        calls["draw"] += 1
+        return real_draw(*args)
+
+    monkeypatch.setattr(theorems, "run_on_instance", counting_run)
+    monkeypatch.setattr(theorems, "random_instance", counting_draw)
+    again = sweep("L4_ZYKOV_BOUND", max_size=8, count=5, seed=3)
+    assert calls == {"run": 5, "draw": 5}
+    assert [r.as_dict() for r in again] == [r.as_dict() for r in seeded]
+    calls.update(run=0, draw=0)
+    again = sweep("T2_TREE", max_size=4, exhaustive=True)
+    # 1 + 1 + 3 + 16 labeled trees on 1..4 vertices
+    assert calls == {"run": 21, "draw": 0}
+    assert [r.as_dict() for r in again] == [r.as_dict() for r in exhaustive]
