@@ -6,16 +6,22 @@ stable set holds v (at degree 1, swap its neighbour for it). Otherwise it
 prunes with a greedy clique-cover upper bound and branches on which vertex
 of N[v] the stable set takes, for v of minimum degree: every maximal
 stable set meets N[v], and each branch leaves the vertices tried before it
-out. The stable-set stream inserts vertices in increasing order, so each
-stable set is produced exactly once and non-stable candidates never
-materialize.
-On a graph with a cycle, psi() walks the same tree of stable sets with an
-explicit stack. Each entry carries S, the vertices that may still join it,
-N(S), the vertices of N(S) with two or more neighbours in S, and |S|; the
-child S + v gets N(S) | N(v) and repeats | (N(S) & N(v)), so no N[S] is
-rebuilt. Every set goes through the local-maximum test, which
-is_local_max_stable() shares (building the masks from S). The test
-decides whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
+out.
+
+One walk visits the stable sets: enumerate_stable_sets(), omega() and,
+on a graph with a cycle, psi() all run it. It keeps an explicit stack, so
+it does not recurse per vertex of S. Each entry carries S, the vertices
+that may still join it, N(S), the vertices of N(S) with two or more
+neighbours in S, and |S|. A child S + v may take only the candidates
+after v that miss N(v), so each stable set is reached exactly once and
+non-stable sets never materialize; the child gets N(S) | N(v) and
+repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed
+lowest vertex first, so the highest is popped first: the stream follows
+no canonical order. Without a memo the walk yields every stable set. With
+one, which psi() passes, it yields only the sets that pass the
+local-maximum test, which is_local_max_stable() shares (building the
+masks from S). The test decides whether alpha(N[S]) exceeds |S| without
+computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
@@ -117,17 +123,7 @@ def is_stable(g: Graph, s: int) -> bool:
 
 def enumerate_stable_sets(g: Graph) -> Iterator[int]:
     """Every stable set of ``g`` exactly once, the empty set included."""
-    adj = g.adj
-
-    def rec(current: int, candidates: int) -> Iterator[int]:
-        yield current
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            candidates ^= low
-            yield from rec(current | low, candidates & ~adj[v])
-
-    yield from rec(0, full_mask(g.n))
+    return _stable_walk(g.adj)
 
 
 def _clique_cover_bound(adj: tuple[int, ...], avail: int) -> int:
@@ -250,6 +246,26 @@ def _decide_local_max(
     return a == k
 
 
+def _stable_walk(adj: tuple[int, ...], memo: dict[int, tuple[int, bool]] | None = None) -> Iterator[int]:
+    """Every stable set once or, given a memo, the local maximum ones.
+
+    Each stack entry (S, candidates, N(S), repeats, |S|) is a stable set
+    with the vertices that may still join it; a child's masks are one OR
+    and one AND away from its parent's.
+    """
+    stack = [(0, full_mask(len(adj)), 0, 0, 0)]
+    while stack:
+        s, candidates, once, twice, k = stack.pop()
+        if memo is None or _decide_local_max(adj, s, k, once, twice, memo):
+            yield s
+        k += 1
+        while candidates:
+            low = candidates & -candidates
+            nbrs = adj[low.bit_length() - 1]
+            candidates ^= low
+            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k))
+
+
 def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]]) -> bool:
     """_decide_local_max() for ``s``, with N(S) and its repeats built here."""
     once = twice = 0
@@ -325,34 +341,11 @@ def _forest_psi(adj: tuple[int, ...]) -> list[int] | None:
     return family
 
 
-def _walk_psi(adj: tuple[int, ...]) -> list[int]:
-    """The members of Psi, from one walk over every stable set.
-
-    Each stack entry (S, candidates, N(S), repeats, |S|) is a stable set
-    with the vertices that may still join it, as in enumerate_stable_sets();
-    a child's masks are one OR and one AND away from its parent's.
-    """
-    memo: dict[int, tuple[int, bool]] = {}
-    members = []
-    stack = [(0, full_mask(len(adj)), 0, 0, 0)]
-    while stack:
-        s, candidates, once, twice, k = stack.pop()
-        if _decide_local_max(adj, s, k, once, twice, memo):
-            members.append(s)
-        k += 1
-        while candidates:
-            low = candidates & -candidates
-            nbrs = adj[low.bit_length() - 1]
-            candidates ^= low
-            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k))
-    return members
-
-
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
     members = _forest_psi(g.adj)
     if members is None:
-        members = _walk_psi(g.adj)
+        members = list(_stable_walk(g.adj, {}))
     return SetFamily(g.n, members)
 
 

@@ -37,6 +37,7 @@ from .stable import (
     enumerate_stable_sets,
     is_stable,
     min_nonempty_size,
+    omega,
     psi,
 )
 
@@ -79,8 +80,7 @@ def _set_list(mask: int) -> list[int]:
 def verify_nemhauser_trotter(g: Graph, seed: int | None = None) -> TheoremReport:
     """Every local maximum stable set extends to a maximum stable set."""
     fam = psi(g)
-    a = alpha(g)
-    maxima = [s for s in enumerate_stable_sets(g) if s.bit_count() == a]
+    maxima = omega(g).members
     witness = None
     for s in fam:
         if not any(s & ~m == 0 for m in maxima):

@@ -7,11 +7,16 @@ Two tiers, both separate from the library's code paths:
   programming over masks (no pruning, no branch and bound);
 * the literal oracle spells everything out with itertools and pairwise
   edge scans, and exists to cross-check the DP oracle on tiny graphs.
+
+recursive_stable_sets() is the reference for the library's explicit-stack
+walk: the same tree of stable sets, visited by recursion in increasing
+vertex order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from lmss.graph import Graph
 
@@ -49,6 +54,21 @@ def brute_alpha(g: Graph) -> int:
 def brute_stable_sets(g: Graph) -> list[int]:
     table = brute_stability_table(g)
     return [s for s in range(1 << g.n) if table[s]]
+
+
+def recursive_stable_sets(g: Graph) -> Iterator[int]:
+    """Every stable set once, in increasing-vertex preorder, one frame per vertex of S."""
+    adj = g.adj
+
+    def rec(current: int, candidates: int) -> Iterator[int]:
+        yield current
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            candidates ^= low
+            yield from rec(current | low, candidates & ~adj[v])
+
+    yield from rec(0, (1 << g.n) - 1)
 
 
 def brute_closed_neighborhood(g: Graph, s: int) -> int:

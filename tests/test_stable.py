@@ -39,6 +39,7 @@ from oracles import (
     brute_psi,
     brute_stable_sets,
     literal_psi,
+    recursive_stable_sets,
 )
 
 W = named_fixture("W_FIG1")
@@ -125,6 +126,42 @@ def test_stream_is_exactly_the_stable_sets(g):
     seen = list(enumerate_stable_sets(g))
     assert len(seen) == len(set(seen))
     assert sorted(seen) == brute_stable_sets(g)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=100)
+def test_stream_matches_recursive_reference(g):
+    seen = list(enumerate_stable_sets(g))
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == sorted(recursive_stable_sets(g))
+
+
+def _lowest_recursion_limit():
+    """The lowest recursion limit the interpreter accepts in the caller.
+
+    The limit also counts frames that inspect.stack() does not list, such as
+    calls made from C under pytest on CPython 3.11, so ask the interpreter.
+    """
+    limit = len(inspect.stack(0))
+    while True:
+        try:
+            sys.setrecursionlimit(limit)
+            return limit
+        except RecursionError:
+            limit += 1
+
+
+def test_stream_does_not_recurse():
+    # the recursive reference nests one generator frame per vertex of S, 13
+    # here; the walk keeps its own stack
+    cases = (edgeless(12), path(24))
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_lowest_recursion_limit() + 8)
+        counts = [sum(1 for _ in enumerate_stable_sets(g)) for g in cases]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts == [4096, 121393]
 
 
 def test_local_max_facts():
@@ -310,7 +347,7 @@ def test_walk_matches_stream_filter(g):
     fam, decisions = _psi_walked(g)
     # each stable set once, with N(S) and the vertices of N(S) that have two
     # or more neighbours in S carried down the walk, not rebuilt
-    assert sorted(s for _, s, *_ in decisions) == sorted(enumerate_stable_sets(g))
+    assert sorted(s for _, s, *_ in decisions) == sorted(recursive_stable_sets(g))
     for _, s, k, once, twice, _ in decisions:
         counts = [(row & s).bit_count() for row in g.adj]
         assert k == s.bit_count()
