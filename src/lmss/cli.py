@@ -15,6 +15,7 @@ The seeded kinds (tree, gnp) draw from --seed, default 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -273,6 +274,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# one parser per process: in-process callers run main many times, and each
+# build costs more than a small command
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lmss",
@@ -328,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

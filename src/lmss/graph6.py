@@ -7,14 +7,32 @@ printable ASCII range. The vertex count precedes the body: a single byte
 n+63 for n <= 62, the escape byte 126 followed by three 6-bit bytes for
 n <= 258047, and 126 126 plus six 6-bit bytes above that.
 
+The body bytes 63..126 are the 6-bit values 0..63, so ``bytes.translate``
+turns them into the base64 alphabet and back, and ``binascii`` moves the
+6-bit groups to and from whole bytes. Read through a 256-entry bit-reverse
+table, those bytes hold the bit stream least significant bit first, so
+column j is the low j bits of an int and needs no reversal. Encode ORs
+the columns into an accumulator and writes out its whole bytes once it
+holds more than ``_WINDOW`` bits; decode refills a window of
+``_WINDOW`` bits as the columns use it up. No Python loop runs per bit or
+per 6-bit group, and no int grows with the body.
+
 An optional ">>graph6<<" header is tolerated on input and never written.
 """
 
 from __future__ import annotations
 
+import binascii
+
 HEADER = b">>graph6<<"
 
-_BITS6 = [format(i, "06b") for i in range(64)]
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+# a byte outside 63..126 becomes "*", which is not in the base64 alphabet
+_FROM_G6 = bytes(_B64[b - 63] if 63 <= b <= 126 else ord("*") for b in range(256))
+_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_WINDOW = 4096
+_WINDOW_BYTES = _WINDOW // 8
 
 
 class Graph6Error(ValueError):
@@ -66,12 +84,19 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 
 def encode(n: int, adj: tuple[int, ...]) -> bytes:
     """Encode an adjacency list of neighbor bitmasks as graph6 bytes."""
-    cols = [format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)]
-    s = "".join(cols)
-    if len(s) % 6:
-        s += "0" * (6 - len(s) % 6)
-    body = bytes(int(s[i : i + 6], 2) + 63 for i in range(0, len(s), 6))
-    return _encode_size(n) + body
+    chunks = []
+    acc = pos = 0
+    for j in range(1, n):
+        acc |= (adj[j] & ((1 << j) - 1)) << pos
+        pos += j
+        if pos > _WINDOW:
+            k = pos // 8
+            chunks.append((acc & ((1 << 8 * k) - 1)).to_bytes(k, "little"))
+            acc >>= 8 * k
+            pos -= 8 * k
+    chunks.append(acc.to_bytes((pos + 7) // 8, "little"))
+    packed = binascii.b2a_base64(b"".join(chunks).translate(_REVERSE), newline=False)
+    return _encode_size(n) + packed[: (n * (n - 1) // 2 + 5) // 6].translate(_TO_G6)
 
 
 def decode(data: bytes) -> tuple[int, list[int]]:
@@ -96,25 +121,29 @@ def decode(data: bytes) -> tuple[int, list[int]]:
     nbytes = (nbits + 5) // 6
     if len(data) < off + nbytes:
         raise Graph6Error(f"adjacency body truncated, need {nbytes} bytes", len(data))
-    chunks = []
-    for k in range(nbytes):
-        b = data[off + k]
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"body byte {b} out of range", off + k)
-        chunks.append(_BITS6[b - 63])
+    b64 = data[off : off + nbytes].translate(_FROM_G6)
+    bad = b64.find(b"*")
+    if bad >= 0:
+        raise Graph6Error(f"body byte {data[off + bad]} out of range", off + bad)
     if len(data) > off + nbytes:
         raise Graph6Error("trailing garbage after adjacency body", off + nbytes)
-    s = "".join(chunks)
+    raw = binascii.a2b_base64(b64 + b"A" * (-nbytes % 4)).translate(_REVERSE)
     adj = [0] * n
-    pos = 0
+    acc = have = pos = 0
     for j in range(1, n):
-        col = int(s[pos : pos + j][::-1], 2)
-        pos += j
+        # a column can be longer than the window
+        while have < j:
+            acc |= int.from_bytes(raw[pos : pos + _WINDOW_BYTES], "little") << have
+            pos += _WINDOW_BYTES
+            have += _WINDOW
+        col = acc & ((1 << j) - 1)
+        acc >>= j
+        have -= j
         if col:
-            adj[j] |= col
-            rem = col
-            while rem:
-                low = rem & -rem
-                adj[low.bit_length() - 1] |= 1 << j
-                rem ^= low
+            adj[j] = col
+            bit = 1 << j
+            while col:
+                low = col & -col
+                adj[low.bit_length() - 1] |= bit
+                col ^= low
     return n, adj

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from lmss.bitset import bits
-from lmss.cli import main
+from lmss.cli import build_parser, main
 from lmss.graph import (
     named_fixture,
     parse_graph6,
@@ -287,6 +287,19 @@ def test_exactly_one_input_source_required(capsys):
 def test_graph6_parse_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "psi", "--graph6", "Chx")
     assert code == 2 and "byte offset" in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    build_parser.cache_clear()
+    first = run_cli(capsys, "psi", "--fixture", "W_FIG1", "--format", "json")
+    assert run_cli(capsys, "check", "--fixture", "G4_FIG3")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "verify", "L4_ZYKOV_BOUND", "--sweep", "6", "--count", "2")[0] == 0
+    assert run_cli(capsys, "psi", "--fixture", "W_FIG1", "--format", "json") == first
+    assert build_parser.cache_info().misses == 1
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,7 @@
 """graph6 format: hand-packed oracle values, round trips, error reporting."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,13 @@ from lmss import graph6
 from lmss.graph import (
     Graph,
     Graph6Error,
+    complete,
     edge_count,
+    edgeless,
     from_edge_list,
     parse_graph6,
     path,
+    random_graph,
     to_graph6,
     validate,
 )
@@ -20,14 +25,14 @@ from lmss.graph import (
 
 def hand_pack(n, edge_pairs):
     """Independent reference packing: follow the format definition literally."""
-    assert n <= 62
+    assert n <= 258047
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(1 if ((i, j) in edge_pairs or (j, i) in edge_pairs) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [n + 63]
+    out = [n + 63] if n <= 62 else [126] + [(n >> s & 63) + 63 for s in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         group = 0
         for b in bits[k : k + 6]:
@@ -56,6 +61,20 @@ def test_p4_encoding_matches_hand_packing():
 def test_encoding_matches_hand_packing(n, edges):
     g = from_edge_list(n, sorted(edges))
     assert to_graph6(g) == hand_pack(n, edges)
+
+
+# 4,095 body bits at n = 91 and 4,186 at n = 92, around the codec's 4,096-bit window
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 91, 92, 130])
+def test_size_prefix_and_window_boundaries_match_hand_packing(n):
+    for g in (random_graph(n, 1, 2, 1000 + n), complete(n), edgeless(n)):
+        edges = {(i, j) for j in range(n) for i in range(j) if g.adj[j] >> i & 1}
+        assert to_graph6(g) == hand_pack(n, edges)
+        assert parse_graph6(hand_pack(n, edges)) == g
+
+
+def test_columns_longer_than_the_window_round_trip():
+    g = path(4200)
+    assert parse_graph6(to_graph6(g)) == g
 
 
 def test_single_vertex():
@@ -121,6 +140,32 @@ def test_decode_raises_only_its_typed_error(data):
     except Graph6Error:
         return
     validate(Graph(n, tuple(adj)))
+
+
+@given(st.integers(2, 70), st.integers(0, 2**32), st.data())
+@settings(max_examples=200)
+def test_out_of_range_body_byte_reports_its_offset(n, seed, data):
+    g = random_graph(n, 1, 2, seed)
+    good = to_graph6(g)
+    start = 1 if g.n <= 62 else 4
+    pos = data.draw(st.integers(start, len(good) - 1), label="pos")
+    bad = data.draw(st.one_of(st.integers(0, 62), st.integers(127, 255)), label="byte")
+    # a "\n" in the last place is stripped and reported as truncation, at the same offset
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6(good[:pos] + bytes([bad]) + good[pos + 1 :])
+    assert err.value.offset == pos
+
+
+def test_huge_declared_size_without_body_fails_before_allocating():
+    # n = 2**36 - 1 declares about 2**70 body bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(Graph6Error, match="truncated"):
+            parse_graph6(b"~~~~~~~~")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_bad_size_prefix():
