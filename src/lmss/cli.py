@@ -178,30 +178,25 @@ def cmd_chain(args) -> int:
     return 0
 
 
-_COMPOSE_OPS = ("union", "zykov", "corona", "compose", "lex")
-
-
-def _compose(op: str, graphs: list[Graph]) -> CompositeGraph:
-    if op == "union":
-        return disjoint_union(graphs)
-    if op == "zykov":
-        return zykov_sum(graphs)
-    if op == "corona":
-        if not graphs:
-            raise ValueError("corona needs a host graph followed by its satellites")
-        return corona(graphs[0], graphs[1:])
-    if op == "compose":
-        if not graphs:
-            raise ValueError("compose needs a skeleton graph followed by its parts")
-        return composition(graphs[0], graphs[1:])
+def _lex(graphs: list[Graph]) -> CompositeGraph:
     if len(graphs) != 2:
         raise ValueError("lex needs exactly two graphs")
-    return lexicographic_product(graphs[0], graphs[1])
+    return lexicographic_product(*graphs)
+
+
+# argparse's nargs="+" guarantees the first graph the host and skeleton ops read
+_COMPOSE_OPS = {
+    "union": disjoint_union,
+    "zykov": zykov_sum,
+    "corona": lambda graphs: corona(graphs[0], graphs[1:]),
+    "compose": lambda graphs: composition(graphs[0], graphs[1:]),
+    "lex": _lex,
+}
 
 
 def cmd_compose(args) -> int:
     graphs = [_graph_from_spec(s, args.seed) for s in args.inputs]
-    comp = _compose(args.op, graphs)
+    comp = _COMPOSE_OPS[args.op](graphs)
     if args.format == "json":
         _emit_json({
             "graph6": G.to_graph6(comp.graph).decode("ascii"),
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"number of sweep instances (default {_SWEEP_COUNT_DEFAULT}; "
                         "not with --exhaustive)")
     p.add_argument("--exhaustive", action="store_true",
-                   help="exhaustive sweep (T1_NT corpus, T2_TREE all labeled trees)")
+                   help="exhaustive sweep (T1_NT corpus, --sweep <= 7; T2_TREE all labeled trees)")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 

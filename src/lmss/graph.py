@@ -25,19 +25,11 @@ class EdgeListError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     n: int
     adj: tuple[int, ...]
     labels: tuple[str | None, ...] | None = field(default=None, compare=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={edge_count(self)})"

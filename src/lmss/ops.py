@@ -77,30 +77,27 @@ def _layout(parts: list[Graph], base: int = 0) -> tuple[tuple[int, ...], list[in
     return tuple(offsets), part_of, index_in_part, pos
 
 
-def disjoint_union(parts: list[Graph]) -> CompositeGraph:
-    """Side-by-side operands, no cross edges; at least two nonempty operands."""
+def _side_by_side(parts: list[Graph], joined: bool) -> CompositeGraph:
+    """Operands laid out in order; joined adds every cross edge."""
     _check_operands(parts, 2)
     offsets, part_of, index_in_part, n = _layout(parts)
     adj = [0] * n
     for off, g in zip(offsets, parts):
+        cross = full_mask(n) & ~(full_mask(g.n) << off) if joined else 0
         for v in range(g.n):
-            adj[off + v] = g.adj[v] << off
+            adj[off + v] = (g.adj[v] << off) | cross
     return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets,
                           tuple(part_of), tuple(index_in_part))
+
+
+def disjoint_union(parts: list[Graph]) -> CompositeGraph:
+    """Side-by-side operands, no cross edges; at least two nonempty operands."""
+    return _side_by_side(parts, joined=False)
 
 
 def zykov_sum(parts: list[Graph]) -> CompositeGraph:
     """Operands plus every cross edge; at least two nonempty operands."""
-    _check_operands(parts, 2)
-    offsets, part_of, index_in_part, n = _layout(parts)
-    fm = full_mask(n)
-    adj = [0] * n
-    for off, g in zip(offsets, parts):
-        pm = full_mask(g.n) << off
-        for v in range(g.n):
-            adj[off + v] = (g.adj[v] << off) | (fm & ~pm)
-    return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets,
-                          tuple(part_of), tuple(index_in_part))
+    return _side_by_side(parts, joined=True)
 
 
 def corona(x: Graph, hs: list[Graph]) -> CompositeGraph:

@@ -142,6 +142,42 @@ def test_compose_corona_plain(capsys):
     assert "host: [0, 1]" in out
 
 
+# every compose op, byte for byte, in both output formats
+@pytest.mark.parametrize("argv, plain, data", [
+    pytest.param(["union", "gen:path:3", "gen:cycle:4"],
+                 "graph6: FgCGg\npart 0: offset 0 size 3\npart 1: offset 3 size 4\n",
+                 {"graph6": "FgCGg", "host_vertices": [], "n": 7, "offsets": [0, 3],
+                  "part_of": [0, 0, 0, 1, 1, 1, 1], "index_in_part": [0, 1, 2, 0, 1, 2, 3]},
+                 id="union"),
+    pytest.param(["zykov", "gen:complete:2", "gen:path:3"],
+                 "graph6: D~s\npart 0: offset 0 size 2\npart 1: offset 2 size 3\n",
+                 {"graph6": "D~s", "host_vertices": [], "n": 5, "offsets": [0, 2],
+                  "part_of": [0, 0, 1, 1, 1], "index_in_part": [0, 1, 0, 1, 2]},
+                 id="zykov"),
+    pytest.param(["corona", "gen:path:2", "gen:complete:1", "gen:path:2"],
+                 "graph6: DqS\nhost: [0, 1]\npart 0: offset 2 size 1\npart 1: offset 3 size 2\n",
+                 {"graph6": "DqS", "host_vertices": [0, 1], "n": 5, "offsets": [2, 3],
+                  "part_of": [-1, -1, 0, 1, 1], "index_in_part": [0, 1, 0, 0, 1]},
+                 id="corona"),
+    pytest.param(["compose", "gen:path:3", "gen:complete:2", "gen:edgeless:1", "gen:path:2"],
+                 "graph6: DxK\npart 0: offset 0 size 2\npart 1: offset 2 size 1\n"
+                 "part 2: offset 3 size 2\n",
+                 {"graph6": "DxK", "host_vertices": [], "n": 5, "offsets": [0, 2, 3],
+                  "part_of": [0, 0, 1, 2, 2], "index_in_part": [0, 1, 0, 0, 1]},
+                 id="compose"),
+    pytest.param(["lex", "gen:path:3", "gen:complete:2"],
+                 "graph6: E~Kw\npart 0: offset 0 size 2\npart 1: offset 2 size 2\n"
+                 "part 2: offset 4 size 2\n",
+                 {"graph6": "E~Kw", "host_vertices": [], "n": 6, "offsets": [0, 2, 4],
+                  "part_of": [0, 0, 1, 1, 2, 2], "index_in_part": [0, 1, 0, 1, 0, 1]},
+                 id="lex"),
+])
+def test_compose_outputs_are_pinned(capsys, argv, plain, data):
+    assert run_cli(capsys, "compose", *argv) == (0, plain, "")
+    expected_json = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert run_cli(capsys, "compose", *argv, "--format", "json") == (0, expected_json, "")
+
+
 def test_compose_arity_error(capsys):
     code, _, err = run_cli(capsys, "compose", "lex", "gen:path:2")
     assert code == 2 and "lex needs exactly two graphs" in err
@@ -174,6 +210,12 @@ def test_verify_plain_summary(capsys):
     assert out.strip().endswith("21/21 hold")
 
 
+def test_verify_t1_exhaustive_at_the_corpus_bound(capsys):
+    code, out, _ = run_cli(capsys, "verify", "T1_NT", "--sweep", "7", "--exhaustive")
+    assert code == 0
+    assert out.endswith("\n1252/1252 hold\n")
+
+
 @pytest.mark.parametrize("theorem, specs, message", [
     pytest.param("T1_NT", ["gen:path:2", "gen:path:3"], "T1_NT takes exactly one graph",
                  id="T1_NT"),
@@ -194,6 +236,9 @@ def test_verify_wrong_arity_exits_2(capsys, theorem, specs, message):
     (["T1_NT", "--count", "-3"], "count must be at least 1"),
     (["T2_TREE", "--sweep", "0", "--exhaustive"], "at least 1, got 0"),
     (["COR_CORONA", "--sweep", "5"], "at least 6, got 5"),
+    # the T1_NT corpus stops at 7 vertices, and --sweep defaults to 10
+    (["T1_NT", "--exhaustive"], "corpus covers 1..7 vertices, got 10"),
+    (["T1_NT", "--sweep", "8", "--exhaustive"], "corpus covers 1..7 vertices, got 8"),
 ])
 def test_verify_sweep_that_checks_nothing_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)

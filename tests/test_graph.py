@@ -1,5 +1,7 @@
 """Graph construction, neighborhoods, generators, fixtures, text formats."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from lmss.graph import (
     FIXTURE_NAMES,
     MAX_EDGE_LIST_VERTICES,
     EdgeListError,
+    Graph,
     closed_neighborhood,
     complement,
     complete,
@@ -64,6 +67,21 @@ def test_fixture_w():
     w = named_fixture("W_FIG1")
     assert w.n == 7 and edge_count(w) == 7
     assert [w.label(v) for v in range(7)] == list("abcdefg")
+
+
+def test_equality_and_hash_ignore_labels():
+    w = named_fixture("W_FIG1")
+    copy = Graph(7, w.adj)
+    assert copy.labels is None and w == copy
+    assert hash(w) == hash(copy)
+    assert len({w, copy}) == 1
+    assert w != edgeless(7)
+
+
+def test_graph_never_equals_a_non_graph():
+    w = named_fixture("W_FIG1")
+    for other in (None, 7, "W_FIG1", (w.n, w.adj), SimpleNamespace(n=w.n, adj=w.adj)):
+        assert w != other and not w == other
 
 
 def test_closed_neighborhood_w():

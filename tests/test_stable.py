@@ -141,14 +141,19 @@ def _lowest_recursion_limit():
 
     The limit also counts frames that inspect.stack() does not list, such as
     calls made from C under pytest on CPython 3.11, so ask the interpreter.
+    The caller's limit is back in place on return.
     """
+    caller_limit = sys.getrecursionlimit()
     limit = len(inspect.stack(0))
-    while True:
-        try:
-            sys.setrecursionlimit(limit)
-            return limit
-        except RecursionError:
-            limit += 1
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(limit)
+                return limit
+            except RecursionError:
+                limit += 1
+    finally:
+        sys.setrecursionlimit(caller_limit)
 
 
 def test_stream_does_not_recurse():

@@ -1,5 +1,7 @@
 """Theorem verifiers: fixture instances, sweeps, witness machinery, corpus."""
 
+from dataclasses import replace
+
 import pytest
 
 import lmss.theorems as theorems
@@ -159,6 +161,23 @@ def test_p1_witness_machinery_catches_planted_bug(monkeypatch):
     assert report.witness["factors_through_parts"] != report.witness["in_family"]
 
 
+def test_p1_witness_is_canonically_first(monkeypatch):
+    # {5} and {0,2} both leave the union family: by int {0,2} = 5 comes
+    # first, canonically the smaller set {5} = 32 does
+    real_psi = theorems.psi
+    dropped = {0b100000, 0b101}
+
+    def broken_psi(g):
+        fam = real_psi(g)
+        if g.n == 6:
+            return SetFamily(fam.universe, [m for m in fam if m not in dropped])
+        return fam
+
+    monkeypatch.setattr(theorems, "psi", broken_psi)
+    report = verify_union_prop([path(3), path(3)])
+    assert report.witness == {"set": [5], "in_family": False, "factors_through_parts": True}
+
+
 # -- L4 and P2 ----------------------------------------------------------------
 
 def test_l4_examples():
@@ -238,6 +257,27 @@ def test_l3_witness_keys_keep_their_order(monkeypatch):
     assert r.witness["part"] == "iii" and r.witness["operand"] == 2
 
 
+def test_l3_part_iv_witness_is_canonically_first(monkeypatch):
+    # the walk yields {0,4} before {0,3}; both hold a host vertex, so the part
+    # families still embed and part (iv) is the first to fail
+    x, hs = path(2), [complete(1), complete(2)]
+    g = corona(x, hs).graph
+    real_psi = theorems.psi
+    dropped = {0b10001, 0b01001}
+
+    def broken_psi(h):
+        fam = real_psi(h)
+        if h == g:
+            return SetFamily(fam.universe, [m for m in fam if m not in dropped])
+        return fam
+
+    monkeypatch.setattr(theorems, "psi", broken_psi)
+    walk = [s for s in theorems.enumerate_stable_sets(g) if s in dropped]
+    assert walk == [0b10001, 0b01001]
+    report = verify_corona_lemma(x, hs)
+    assert report.witness == {"part": "iv", "set": [0, 3], "structural": True}
+
+
 def test_corona_characterization_matches_definition_everywhere():
     x, hs = fig5_host(), FIG5_PARTS()
     c = corona(x, hs)
@@ -277,6 +317,22 @@ def test_t_corona_and_corollary():
     assert r.theorem == "COR_CORONA" and r.holds
     r = verify_corona_theorem(complete(1), [path(3)])
     assert r.holds and r.note is not None
+
+
+def _corollary_matches_theorem(x, h, seed=None):
+    cor = verify_corona_corollary(x, h, seed)
+    base = verify_corona_theorem(x, [h] * x.n, seed)
+    assert cor.theorem == "COR_CORONA"
+    assert cor.inputs == {"host": base.inputs["host"], "satellite": to_graph6(h).decode()}
+    assert replace(cor, theorem=base.theorem, inputs=base.inputs) == base
+
+
+def test_corollary_is_the_theorem_report_renamed():
+    w = named_fixture("W_FIG1")
+    _corollary_matches_theorem(path(2), w)
+    _corollary_matches_theorem(complete(1), path(3))
+    for seed in range(12):
+        _corollary_matches_theorem(*random_instance("COR_CORONA", 10, seed), seed)
 
 
 # -- composition ----------------------------------------------------------------
@@ -382,6 +438,15 @@ def test_instance_from_graphs_rejects_no_graphs():
         instance_from_graphs("T_CORONA", [])
     with pytest.raises(ValueError, match="takes exactly one graph"):
         instance_from_graphs("T1_NT", [])
+
+
+def test_corpus_upto_stops_at_the_corpus_bound():
+    assert len(corpus_upto(3)) == 1 + 2 + 4
+    for n in (CORPUS_MAX_N + 1, 10):
+        with pytest.raises(ValueError, match=f"corpus covers 1..7 vertices, got {n}"):
+            corpus_upto(n)
+    with pytest.raises(ValueError, match="got 8"):
+        sweep("T1_NT", max_size=8, exhaustive=True)
 
 
 def test_t1_exhaustive_corpus_small():
