@@ -17,22 +17,35 @@ after v that miss N(v), so each stable set is reached exactly once and
 non-stable sets never materialize; the child gets N(S) | N(v) and
 repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed
 lowest vertex first, so the highest is popped first: the stream follows
-no canonical order. Without a memo the walk yields every stable set. With
-one, which psi() passes, it yields only the sets that pass the
-local-maximum test, which is_local_max_stable() shares (building the
-masks from S). The test decides whether alpha(N[S]) exceeds |S| without
-computing alpha(N[S]):
+no canonical order. Without a rule the walk yields every stable set. A
+rule may drop S and prune the sets below it: omega() drops S when |S|
+plus a greedy clique cover of its candidates falls short of alpha, and
+psi() keeps only the sets that pass the local-maximum test, which
+is_local_max_stable() shares (building the masks from S). The test
+decides whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
-  (S - v) + {a, b} is a larger stable set and S is rejected at once;
+  T = (S - v) + {a, b} is a larger stable set and S is rejected at once;
 * otherwise the branch-and-bound runs floored: it starts from best = |S|
-  (S is stable in N[S]) and stops at the first larger stable set, so a
+  (S is stable in N[S]) and stops at the first larger stable set T, so a
   greedy clique cover of N[S] with |S| cliques accepts S at the root.
 
-Outcomes are memoized by closed-neighborhood mask, as "alpha = k" or as
-"alpha >= k"; a later set with the same N[S] and fewer than k vertices is
-rejected without a search.
+A rejection prunes the walk. Let T be a stable set of N[S] with |T| > |S|,
+and U a stable set of the candidates, so U misses N[S]. If U also misses
+N(T), then T + U is stable, lies inside N[S + U] and is larger than
+S + U, so S + U is not in Psi. The blocking mask of T is N(T) - N[S]. A
+rejected S branches only on the candidates b_1 < b_2 < ... in that mask;
+the child for b_i leaves out b_1..b_i and N(b_i) but keeps the lower
+candidates outside the mask, so every stable set below S that meets the
+mask is reached exactly once, through its first vertex there.
+
+Outcomes are memoized by closed-neighborhood mask, as (k, True, 0) for
+"alpha = k" or as (k, False, blk) for "alpha >= k", with blk the blocking
+mask of a stable set of size k; both depend on N[S] alone. A later set
+with the same N[S] and fewer than k vertices is rejected without a search.
+Its blocking mask is blk, or 0 when alpha is exact, since the accepted set
+that stored it lies in N[S] with its neighbours.
 
 On a forest psi() does not walk the stable sets: they can outnumber
 its members by orders of magnitude (path:40 has about 2.7e8 of them and
@@ -61,7 +74,7 @@ pass over the vertices.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .bitset import bits, full_mask
 from .graph import Graph
@@ -144,26 +157,29 @@ def _clique_cover_bound(adj: tuple[int, ...], avail: int) -> int:
     return count
 
 
-def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) -> int:
-    """Stability number of the subgraph induced by ``avail``.
+def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) -> tuple[int, int]:
+    """Stability number of the subgraph induced by ``avail``, and a stable set.
 
-    Without ``floor`` the result is exact. With ``floor`` k, which must not
-    exceed that number, the search starts from best = k and stops at the
-    first stable set larger than k: the result is k when the stability
-    number is k, and otherwise a lower bound on it greater than k. The
-    search recurses only where every vertex left has degree 2 or more.
+    Without ``floor`` the result is exact, with a maximum stable set. With
+    ``floor`` k, which must not exceed that number, the search starts from
+    best = k and stops at the first stable set larger than k: the result is
+    (k, 0) when the stability number is k, and otherwise that larger set
+    with its size. The search recurses only where every vertex left has
+    degree 2 or more.
     """
     best = 0 if floor is None else floor
+    found = 0
     decide = floor is not None
 
-    def bb(rem: int, size: int) -> bool:
-        """Search ``rem``; True once a decision search may stop."""
-        nonlocal best
+    def bb(rem: int, size: int, chosen: int) -> bool:
+        """Search ``rem`` beside ``chosen``; True once a decision search may stop."""
+        nonlocal best, found
         while True:
             if size + rem.bit_count() <= best:
                 return False
             if not rem:
                 best = size
+                found = chosen
                 return decide
             # a vertex of minimum degree inside rem, the first of degree <= 1
             v = -1
@@ -184,6 +200,7 @@ def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) ->
             # some maximum stable set of rem holds v: at degree 1, swap its
             # neighbour for v
             rem &= ~(adj[v] | 1 << v)
+            chosen |= 1 << v
             size += 1
         if size + _clique_cover_bound(adj, rem) <= best:
             return False
@@ -192,43 +209,56 @@ def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) ->
         while branch:
             low = branch & -branch
             branch ^= low
-            if bb(rem & ~(adj[low.bit_length() - 1] | low), size + 1):
+            if bb(rem & ~(adj[low.bit_length() - 1] | low), size + 1, chosen | low):
                 return True
             rem ^= low
         return False
 
-    bb(avail, 0)
-    return best
+    bb(avail, 0, 0)
+    return best, found
 
 
 def alpha(g: Graph) -> int:
     """Stability number: the size of a maximum stable set."""
-    return _alpha_masked(g.adj, full_mask(g.n))
+    return _alpha_masked(g.adj, full_mask(g.n))[0]
 
 
 def omega(g: Graph) -> SetFamily:
-    """All maximum stable sets, canonically ordered."""
+    """All maximum stable sets, canonically ordered.
+
+    The walk drops a stable set S, and every set below it, when |S| plus a
+    clique cover of its candidates falls short of alpha.
+    """
     a = alpha(g)
-    return SetFamily(g.n, (s for s in enumerate_stable_sets(g) if s.bit_count() == a))
+    adj = g.adj
+
+    def reach(s: int, k: int, once: int, twice: int, candidates: int) -> int:
+        if k == a:
+            return -1
+        return candidates if k + _clique_cover_bound(adj, candidates) >= a else 0
+
+    return SetFamily(g.n, _stable_walk(adj, reach))
 
 
 def _decide_local_max(
-    adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool]]
-) -> bool:
-    """True iff the stable set ``s`` of size ``k`` is maximum within N[S].
+    adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]]
+) -> int:
+    """-1 when the stable set ``s`` of size ``k`` is maximum within N[S], else a blocking mask.
 
-    ``once`` is N(S) and ``twice`` the vertices of N(S) with at least two
-    neighbours in S. ``memo`` maps a closed neighborhood to (a, True) when
-    its stability number is a, or to (a, False) when that number is at
-    least a.
+    A reject returns the blocking mask N(T) - N[S] of a stable set T of
+    N[S] larger than S. ``once`` is N(S) and ``twice`` the vertices of N(S)
+    with at least two neighbours in S. ``memo`` maps a closed neighborhood
+    to (a, True, 0) when its stability number is a, or to (a, False, blk)
+    when a stable set T of size a there has blocking mask blk.
     """
     hood = s | once
     known = memo.get(hood)
     if known is not None:
-        bound, exact = known
+        bound, exact, blk = known
         if exact or k < bound:
-            return k == bound
-    # a vertex of S with two non-adjacent private neighbours swaps 1 for 2
+            return -1 if k == bound else blk
+    # a vertex of S with two non-adjacent private neighbours a and b swaps 1
+    # for 2: T = (S - v) + {a, b}, and N(S - v) lies inside N[S]
     private = once & ~twice
     rest = s
     while rest:
@@ -238,35 +268,54 @@ def _decide_local_max(
         while cand:
             lu = cand & -cand
             cand ^= lu
-            if cand & ~adj[lu.bit_length() - 1]:
-                memo[hood] = (k + 1, False)
-                return False
-    a = _alpha_masked(adj, hood, k)
-    memo[hood] = (a, a == k)
-    return a == k
+            nbrs = adj[lu.bit_length() - 1]
+            other = cand & ~nbrs
+            if other:
+                blk = (nbrs | adj[(other & -other).bit_length() - 1]) & ~hood
+                memo[hood] = (k + 1, False, blk)
+                return blk
+    a, found = _alpha_masked(adj, hood, k)
+    if a == k:
+        memo[hood] = (k, True, 0)
+        return -1
+    blk = 0
+    for v in bits(found):
+        blk |= adj[v]
+    blk &= ~hood
+    memo[hood] = (a, False, blk)
+    return blk
 
 
-def _stable_walk(adj: tuple[int, ...], memo: dict[int, tuple[int, bool]] | None = None) -> Iterator[int]:
-    """Every stable set once or, given a memo, the local maximum ones.
+def _stable_walk(
+    adj: tuple[int, ...], rule: Callable[[int, int, int, int, int], int] | None = None
+) -> Iterator[int]:
+    """Every stable set once or, given a rule, the sets the rule keeps.
 
     Each stack entry (S, candidates, N(S), repeats, |S|) is a stable set
     with the vertices that may still join it; a child's masks are one OR
-    and one AND away from its parent's.
+    and one AND away from its parent's. ``rule(S, |S|, N(S), repeats,
+    candidates)`` returns -1 to keep S and branch on every candidate, or a
+    mask to drop S and branch only on the candidates in it. The child for
+    the i-th of those, b_i, leaves out b_1..b_i and N(b_i), and keeps the
+    candidates below b_i that are not in the mask.
     """
     stack = [(0, full_mask(len(adj)), 0, 0, 0)]
     while stack:
         s, candidates, once, twice, k = stack.pop()
-        if memo is None or _decide_local_max(adj, s, k, once, twice, memo):
+        branch = -1 if rule is None else rule(s, k, once, twice, candidates)
+        if branch < 0:
             yield s
+        branch &= candidates
         k += 1
-        while candidates:
-            low = candidates & -candidates
+        while branch:
+            low = branch & -branch
             nbrs = adj[low.bit_length() - 1]
+            branch ^= low
             candidates ^= low
             stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k))
 
 
-def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]]) -> bool:
+def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool, int]]) -> bool:
     """_decide_local_max() for ``s``, with N(S) and its repeats built here."""
     once = twice = 0
     rest = s
@@ -276,7 +325,7 @@ def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool]
         twice |= once & nbrs
         once |= nbrs
         rest ^= low
-    return _decide_local_max(adj, s, s.bit_count(), once, twice, memo)
+    return _decide_local_max(adj, s, s.bit_count(), once, twice, memo) < 0
 
 
 def is_local_max_stable(g: Graph, s: int) -> bool:
@@ -343,9 +392,15 @@ def _forest_psi(adj: tuple[int, ...]) -> list[int] | None:
 
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
-    members = _forest_psi(g.adj)
+    adj = g.adj
+    members = _forest_psi(adj)
     if members is None:
-        members = list(_stable_walk(g.adj, {}))
+        memo: dict[int, tuple[int, bool, int]] = {}
+
+        def decide(s: int, k: int, once: int, twice: int, candidates: int) -> int:
+            return _decide_local_max(adj, s, k, once, twice, memo)
+
+        members = list(_stable_walk(adj, decide))
     return SetFamily(g.n, members)
 
 

@@ -22,6 +22,7 @@ from lmss.graph import (
     random_graph,
     random_tree,
 )
+from lmss.ops import disjoint_union
 from lmss.stable import (
     SetFamily,
     alpha,
@@ -36,6 +37,8 @@ from lmss.theorems import corpus_upto
 from oracles import (
     brute_alpha,
     brute_alpha_table,
+    brute_closed_neighborhood,
+    brute_omega,
     brute_psi,
     brute_stable_sets,
     literal_psi,
@@ -89,12 +92,15 @@ def floored_searches(draw):
 @settings(max_examples=200)
 def test_floored_search_decides_against_oracle(case):
     g, avail, a, k = case
-    assert stable._alpha_masked(g.adj, avail) == a
-    found = stable._alpha_masked(g.adj, avail, k)
+    size, chosen = stable._alpha_masked(g.adj, avail)
+    assert size == a
+    assert is_stable(g, chosen) and chosen & ~avail == 0 and chosen.bit_count() == size
+    found, chosen = stable._alpha_masked(g.adj, avail, k)
     if a == k:
-        assert found == k
+        assert (found, chosen) == (k, 0)
     else:
         assert k < found <= a
+        assert is_stable(g, chosen) and chosen & ~avail == 0 and chosen.bit_count() == found
 
 
 @pytest.mark.parametrize("n,seed", [(18, 3), (20, 4)])
@@ -204,10 +210,10 @@ def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
     memo = {}
     assert not stable._is_local_max(star.adj, 0b001, memo)
     assert searches == []  # leaves 1 and 2 are private to 0 and non-adjacent
-    assert memo == {0b111: (2, False)}
+    assert memo == {0b111: (2, False, 0)}
     assert stable._is_local_max(star.adj, 0b110, memo)
     assert searches == [(0b111, 2)]
-    assert memo == {0b111: (2, True)}
+    assert memo == {0b111: (2, True, 0)}
     assert psi(star).members == (0, 0b010, 0b100, 0b110)
 
 
@@ -226,10 +232,10 @@ def test_floored_search_reject_then_exact_memo(monkeypatch):
     memo = {}
     assert not stable._is_local_max(k23.adj, 0b00011, memo)
     assert searches == [(0b11111, 2)]  # it stops at {2, 3, 4}
-    assert memo == {0b11111: (3, False)}
+    assert memo == {0b11111: (3, False, 0)}
     assert stable._is_local_max(k23.adj, 0b11100, memo)
     assert searches == [(0b11111, 2), (0b11111, 3)]
-    assert memo == {0b11111: (3, True)}
+    assert memo == {0b11111: (3, True, 0)}
     assert psi(k23).members == (0, 0b01100, 0b10100, 0b11000, 0b11100)
 
 
@@ -254,6 +260,18 @@ def test_psi_cycles_equal_omega(n):
     assert psi(cycle(n)) == omega_with_empty(cycle(n))
 
 
+@given(st.one_of(graphs(max_n=10), forests(max_n=14)))
+@settings(max_examples=120)
+def test_omega_matches_naive(g):
+    assert set(omega(g).members) == brute_omega(g)
+
+
+def test_omega_anchors_beyond_the_stream():
+    # path:40 has about 2.7e8 stable sets; the clique-cover bound skips them
+    assert len(omega(path(40))) == 21
+    assert len(omega(cycle(40))) == 2
+
+
 def test_omega_facts():
     assert omega(cycle(4)).members == (0b0101, 0b1010)
     assert omega(complete(4)).members == (1, 2, 4, 8)
@@ -275,13 +293,14 @@ def test_psi_matches_naive(g):
 
 
 def _psi_walked(g):
-    """psi(g), and the arguments of every local-max decision it made."""
+    """psi(g), and the arguments and the result of every local-max decision it made."""
     calls = []
     decide = stable._decide_local_max
 
     def counted(*args):
-        calls.append(args)
-        return decide(*args)
+        result = decide(*args)
+        calls.append((*args, result))
+        return result
 
     stable._decide_local_max = counted
     try:
@@ -339,9 +358,9 @@ def test_graphs_with_a_cycle_take_the_walk(g):
 
 
 @st.composite
-def graphs_with_a_cycle(draw):
+def graphs_with_a_cycle(draw, max_n=16):
     """A graph with at least as many edges as vertices, so with a cycle."""
-    n = draw(st.integers(3, 16))
+    n = draw(st.integers(3, max_n))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     return from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n)))
 
@@ -350,15 +369,73 @@ def graphs_with_a_cycle(draw):
 @settings(max_examples=60, deadline=None)
 def test_walk_matches_stream_filter(g):
     fam, decisions = _psi_walked(g)
-    # each stable set once, with N(S) and the vertices of N(S) that have two
-    # or more neighbours in S carried down the walk, not rebuilt
-    assert sorted(s for _, s, *_ in decisions) == sorted(recursive_stable_sets(g))
-    for _, s, k, once, twice, _ in decisions:
+    decided = [s for _, s, *_ in decisions]
+    assert len(decided) == len(set(decided))
+    # the prune skips only stable sets that are not local maximum
+    assert not (set(recursive_stable_sets(g)) - set(decided)) & brute_psi(g)
+    # N(S) and the vertices of N(S) that have two or more neighbours in S are
+    # carried down the walk, not rebuilt. The walk is a preorder, so a set's
+    # parent is the last set decided one level up, and the children of a
+    # rejected set add a vertex of its blocking mask, which misses N[S]
+    last = {}
+    for _, s, k, once, twice, _, blk in decisions:
         counts = [(row & s).bit_count() for row in g.adj]
         assert k == s.bit_count()
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
         assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
+        assert blk < 0 or blk & (s | once) == 0
+        if k:
+            parent, parent_blk = last[k - 1]
+            added = s & ~parent
+            assert s & parent == parent and added.bit_count() == 1
+            assert parent_blk < 0 or added & parent_blk
+        last[k] = (s, blk)
     assert fam == _stream_filter(g)
+
+
+@given(graphs_with_a_cycle(max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_rejections_return_a_blocking_mask(g):
+    # a rejected S returns N(T) - N[S] for some stable set T of N[S] larger than S
+    closed = [(t, brute_closed_neighborhood(g, t)) for t in brute_stable_sets(g)]
+    _, decisions = _psi_walked(g)
+    for _, s, k, once, _, _, blk in decisions:
+        if blk >= 0:
+            hood = s | once
+            assert any(t & ~hood == 0 and t.bit_count() > k and nt & ~hood == blk for t, nt in closed)
+
+
+@st.composite
+def cycles_and_paths(draw, max_n=14):
+    """A disjoint union of at least one cycle and any cycles or paths, shuffled."""
+    parts = [cycle(draw(st.integers(3, 7)))]
+    n = parts[0].n
+    while n < max_n and draw(st.booleans()):
+        size = draw(st.integers(1, min(7, max_n - n)))
+        parts.append(cycle(size) if size >= 3 and draw(st.booleans()) else path(size))
+        n += size
+    parts = draw(st.permutations(parts))
+    return parts[0] if len(parts) == 1 else disjoint_union(parts).graph
+
+
+@given(cycles_and_paths())
+@settings(max_examples=80, deadline=None)
+def test_psi_of_cycles_and_paths_matches_naive(g):
+    assert set(psi(g).members) == brute_psi(g)
+
+
+def test_sparse_anchors_beyond_the_stream():
+    # cycle:60 has about 3.5e12 stable sets and C3 + P37 about 2.5e8
+    assert len(psi(cycle(60))) == 3
+    g = disjoint_union([cycle(3), path(37)]).graph
+    fam = psi(g)
+    assert len(fam) == 764
+    # Psi of a disjoint union is the product of its parts' families; the
+    # forest DP builds the family of P37
+    assert fam == SetFamily(g.n, (c | p << 3 for c in psi(cycle(3)) for p in psi(path(37))))
+    small = disjoint_union([cycle(3), path(22)]).graph
+    assert len(psi(small)) == 312
+    assert psi(small) == _stream_filter(small)
 
 
 @pytest.mark.parametrize("n,p,members", [(32, 20, 41), (40, 30, 69)])
