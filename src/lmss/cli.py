@@ -8,8 +8,9 @@ and verify, a positive verdict), 1 negative verdict or failed chain,
 Single-graph commands take one of --fixture, --graph6, --file, --gen.
 Multi-graph commands (compose, verify) take ordered positional specs
 written fixture:NAME, g6:STRING, file:PATH or gen:EXPR. Generator
-expressions: complete:N, path:N, cycle:N, edgeless:N, tree:N, gnp:N:P.
-The seeded kinds (tree, gnp) draw from --seed, default 0.
+expressions: complete:N, path:N, cycle:N, edgeless:N, tree:N, gnp:N:P,
+with 0 <= N <= 65536. The seeded kinds (tree, gnp) draw from --seed,
+default 0.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def _parse_gen_expr(expr: str, seed: int) -> Graph:
         )
     try:
         n = int(params[0])
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        # the same bound as an edge list's header, checked before anything is built
+        if not 0 <= n <= G.MAX_EDGE_LIST_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{G.MAX_EDGE_LIST_VERTICES}, got {n}")
         if kind == "gnp":
             p = Fraction(params[1])
             if not 0 <= p <= 1:

@@ -47,15 +47,17 @@ with the same N[S] and fewer than k vertices is rejected without a search.
 Its blocking mask is blk, or 0 when alpha is exact, since the accepted set
 that stored it lies in N[S] with its neighbours.
 
-On a forest psi() does not walk the stable sets: they can outnumber
-its members by orders of magnitude (path:40 has about 2.7e8 of them and
-231 members). In a bipartite graph a stable set S is in Psi iff N(S) has
-a matching into S along S-N(S) edges (Koenig: alpha(N[S]) = |N[S]| minus
-a maximum matching, and a matching of size |N(S)| there uses no N(S)-N(S)
-edge). On a rooted tree the matching can be taken leaf-greedy: a vertex
-outside S matches down to a free child in S whenever it has one, since no
-other vertex can use that child. Each vertex then takes one of five
-states:
+On a forest psi() does not walk the stable sets. The pruned walk would
+finish, but 10 to 25 times slower: on 2 vCPUs, one run each, the DP
+takes 0.023 s on the 90 benchmark trees with 14-15 vertices, where the
+walk takes 0.21 s, and 0.018 s on a random tree with 28 vertices, where
+the walk takes 0.43 s. In a bipartite graph a stable set S is in Psi iff
+N(S) has a matching into S along S-N(S) edges (Koenig: alpha(N[S]) =
+|N[S]| minus a maximum matching, and a matching of size |N(S)| there
+uses no N(S)-N(S) edge). On a rooted tree the matching can be taken
+leaf-greedy: a vertex outside S matches down to a free child in S
+whenever it has one, since no other vertex can use that child. Each
+vertex then takes one of five states:
 
 * IF: in S, no child matched into it;
 * IU: in S, one child matched into it (two are infeasible);

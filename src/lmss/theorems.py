@@ -7,13 +7,16 @@ the checked statements are universally quantified, so a report with
 holds=False on valid input means an implementation bug; the witness makes
 that reproducible. Each theorem is one row of the table ``_THEOREMS``: its
 verifier, its instance shape and its exhaustive stream, so adding a theorem
-is one table row.
+is one table row. The shape owns the instance layout: how a sweep draws
+it, how explicit graphs become it, how it reaches the verifier and how a
+report prints it as ``inputs``. A verifier decides only its witness and
+stats; ``_report`` derives ``holds`` as "no witness found".
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
@@ -76,6 +79,14 @@ def _canonical(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
+def _report(theorem: str, args: tuple, witness: dict | None, stats: dict,
+            seed: int | None, note: str | None = None) -> TheoremReport:
+    """The report of one check: its row's shape prints the inputs from the
+    verifier's arguments, and the check holds iff it found no witness."""
+    inputs = _THEOREMS[theorem].shape.inputs(*args)
+    return TheoremReport(theorem, inputs, witness is None, witness, stats, seed, note)
+
+
 # -- containment in a maximum stable set --------------------------------------
 
 def verify_nemhauser_trotter(g: Graph, seed: int | None = None) -> TheoremReport:
@@ -87,14 +98,8 @@ def verify_nemhauser_trotter(g: Graph, seed: int | None = None) -> TheoremReport
         if not any(s & ~m == 0 for m in maxima):
             witness = {"set": _set_list(s)}
             break
-    return TheoremReport(
-        "T1_NT",
-        {"graph": _g6(g)},
-        witness is None,
-        witness,
-        {"psi_members": len(fam), "omega_members": len(maxima)},
-        seed,
-    )
+    return _report("T1_NT", (g,), witness,
+                   {"psi_members": len(fam), "omega_members": len(maxima)}, seed)
 
 
 # -- trees ---------------------------------------------------------------------
@@ -105,10 +110,7 @@ def verify_tree_greedoid(t: Graph, seed: int | None = None) -> TheoremReport:
         raise ValueError("input is not a tree (connected with n-1 edges)")
     verdict = is_greedoid(psi(t))
     witness = None if verdict.holds else verdict.as_dict()
-    return TheoremReport(
-        "T2_TREE", {"graph": _g6(t)}, verdict.holds, witness,
-        {"n": t.n, "family_size": verdict.family_size}, seed,
-    )
+    return _report("T2_TREE", (t,), witness, {"n": t.n, "family_size": verdict.family_size}, seed)
 
 
 # -- disjoint union ------------------------------------------------------------
@@ -139,15 +141,9 @@ def verify_union_prop(parts: list[Graph], seed: int | None = None) -> TheoremRep
     whole_verdict = is_greedoid(fam).holds
     if witness is None and whole_verdict != all(part_verdicts):
         witness = {"whole_greedoid": whole_verdict, "part_greedoids": part_verdicts}
-    return TheoremReport(
-        "P1_UNION",
-        {"parts": [_g6(g) for g in parts]},
-        witness is None,
-        witness,
-        {"family_size": len(fam), "part_family_sizes": [len(f) for f in part_fams]},
-        seed,
-        note=P1_NOTE,
-    )
+    return _report("P1_UNION", (parts,), witness,
+                   {"family_size": len(fam), "part_family_sizes": [len(f) for f in part_fams]},
+                   seed, P1_NOTE)
 
 
 # -- Zykov sum -----------------------------------------------------------------
@@ -164,13 +160,7 @@ def verify_zykov_bound(parts: list[Graph], seed: int | None = None) -> TheoremRe
     bound = _max2([alpha(g) for g in parts])
     holds = smallest is None or smallest >= bound
     witness = None if holds else {"min_size": smallest, "bound": bound}
-    return TheoremReport(
-        "L4_ZYKOV_BOUND",
-        {"parts": [_g6(g) for g in parts]},
-        holds, witness,
-        {"min_size": smallest, "bound": bound},
-        seed,
-    )
+    return _report("L4_ZYKOV_BOUND", (parts,), witness, {"min_size": smallest, "bound": bound}, seed)
 
 
 def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -> TheoremReport:
@@ -186,10 +176,8 @@ def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -
         expected = {0} | {1 << v for v in range(z.graph.n)}
         holds = set(fam.members) == expected and is_greedoid(fam).holds
         witness = None if holds else {"family": [_set_list(m) for m in fam]}
-        return TheoremReport(
-            "P2_ZYKOV", {"parts": [_g6(g) for g in parts]}, holds, witness,
-            {"alpha": az, "branch": "complete", "family_size": len(fam)}, seed,
-        )
+        return _report("P2_ZYKOV", (parts,), witness,
+                       {"alpha": az, "branch": "complete", "family_size": len(fam)}, seed)
     lhs = is_greedoid(fam).holds
     part_fams = [psi(g) for g in parts]
     non_complete = [i for i, g in enumerate(parts) if not is_complete(g)]
@@ -203,12 +191,9 @@ def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -
         lifted = SetFamily(z.graph.n, (z.lift(m, k) for m in part_fams[k]))
         rhs = lifted == fam
         detail["family_matches_part"] = rhs
-    holds = lhs == rhs
-    witness = None if holds else {"greedoid": lhs, "conditions": detail}
-    return TheoremReport(
-        "P2_ZYKOV", {"parts": [_g6(g) for g in parts]}, holds, witness,
-        {"alpha": az, "branch": "general", "family_size": len(fam)}, seed,
-    )
+    witness = None if lhs == rhs else {"greedoid": lhs, "conditions": detail}
+    return _report("P2_ZYKOV", (parts,), witness,
+                   {"alpha": az, "branch": "general", "family_size": len(fam)}, seed)
 
 
 # -- corona ---------------------------------------------------------------------
@@ -292,11 +277,7 @@ def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> T
             s = min(mismatches, key=_canonical)
             witness = {"part": "iv", "set": _set_list(s), "structural": s not in members}
     stats["stable_sets_checked"] = checked
-    return TheoremReport(
-        "L3_CORONA",
-        {"host": _g6(x), "parts": [_g6(h) for h in hs]},
-        witness is None, witness, stats, seed,
-    )
+    return _report("L3_CORONA", (x, hs), witness, stats, seed)
 
 
 def verify_corona_theorem(x: Graph, hs: list[Graph], seed: int | None = None) -> TheoremReport:
@@ -306,20 +287,14 @@ def verify_corona_theorem(x: Graph, hs: list[Graph], seed: int | None = None) ->
     parts_hold = [is_greedoid(psi(h)).holds for h in hs]
     holds = whole == all(parts_hold)
     witness = None if holds else {"whole_greedoid": whole, "part_greedoids": parts_hold}
-    return TheoremReport(
-        "T_CORONA",
-        {"host": _g6(x), "parts": [_g6(h) for h in hs]},
-        holds, witness,
-        {"host_size": x.n},
-        seed,
-        note=HOST_SIZE_ONE_NOTE if x.n == 1 else None,
-    )
+    return _report("T_CORONA", (x, hs), witness, {"host_size": x.n}, seed,
+                   HOST_SIZE_ONE_NOTE if x.n == 1 else None)
 
 
 def verify_corona_corollary(x: Graph, h: Graph, seed: int | None = None) -> TheoremReport:
     """Uniform special case: one private graph repeated over the whole host."""
-    return replace(verify_corona_theorem(x, [h] * x.n, seed), theorem="COR_CORONA",
-                   inputs={"host": _g6(x), "satellite": _g6(h)})
+    r = verify_corona_theorem(x, [h] * x.n, seed)
+    return _report("COR_CORONA", (x, h), r.witness, r.stats, seed, r.note)
 
 
 # -- composition ----------------------------------------------------------------
@@ -344,13 +319,8 @@ def verify_composition_specializations(parts: list[Graph], seed: int | None = No
         witness = {"mismatch": "union verdict", "detail": union_report.witness}
     if witness is None and not zykov_report.holds:
         witness = {"mismatch": "zykov verdict", "detail": zykov_report.witness}
-    return TheoremReport(
-        "C4_COMPOSITION_SPECIALIZE",
-        {"parts": [_g6(g) for g in parts]},
-        witness is None, witness,
-        {"union_holds": union_report.holds, "zykov_holds": zykov_report.holds},
-        seed,
-    )
+    return _report("C4_COMPOSITION_SPECIALIZE", (parts,), witness,
+                   {"union_holds": union_report.holds, "zykov_holds": zykov_report.holds}, seed)
 
 
 # -- exhaustive corpus -----------------------------------------------------------
@@ -442,22 +412,25 @@ def _host_and_satellites(theorem: str, graphs: list[Graph]) -> tuple:
 
 class _Shape(NamedTuple):
     """One instance layout: how a sweep draws it, how explicit graphs (in CLI
-    order) become it, and how it is passed to a verifier."""
+    order) become it, how it is passed to a verifier, and how the verifier's
+    arguments print as a report's inputs."""
 
     min_size: int  # smallest composite size every draw fits in
     draw: Callable[[SplitMix64, int], tuple]
     from_graphs: Callable[[str, list[Graph]], tuple]
     args: Callable[[tuple], tuple]
+    inputs: Callable[..., dict]
 
 
-_ONE_GRAPH = _exactly(1, "exactly one graph")
-_GRAPH = _Shape(1, lambda rand, size: (_draw_graph(rand, 1 + rand.below(size)),), _ONE_GRAPH, tuple)
-_TREE = _Shape(1, lambda rand, size: (random_tree(1 + rand.below(size), rand.next_u64()),),
-               _ONE_GRAPH, tuple)
-_PARTS = _Shape(4, _draw_parts, _at_least_two, lambda inst: (list(inst),))
-_CORONA = _Shape(4, _draw_corona, _host_and_satellites, lambda inst: (inst[0], list(inst[1])))
+_GRAPH = _Shape(1, lambda rand, size: (_draw_graph(rand, 1 + rand.below(size)),),
+                _exactly(1, "exactly one graph"), tuple, lambda g: {"graph": _g6(g)})
+_TREE = _GRAPH._replace(draw=lambda rand, size: (random_tree(1 + rand.below(size), rand.next_u64()),))
+_PARTS = _Shape(4, _draw_parts, _at_least_two, lambda inst: (list(inst),),
+                lambda parts: {"parts": [_g6(g) for g in parts]})
+_CORONA = _Shape(4, _draw_corona, _host_and_satellites, lambda inst: (inst[0], list(inst[1])),
+                 lambda x, hs: {"host": _g6(x), "parts": [_g6(h) for h in hs]})
 _UNIFORM_CORONA = _Shape(6, _draw_uniform_corona, _exactly(2, "a host and one satellite graph"),
-                         tuple)
+                         tuple, lambda x, h: {"host": _g6(x), "satellite": _g6(h)})
 
 
 class _Theorem(NamedTuple):

@@ -26,17 +26,20 @@ def trees(draw, min_n: int = 1, max_n: int = 12) -> Graph:
 
 
 @st.composite
-def forests(draw, min_n: int = 0, max_n: int = 12) -> Graph:
+def forests(draw, min_n: int = 0, max_n: int = 12, max_deleted: int | None = None) -> Graph:
     """A random labeled tree with a random set of its edges deleted.
 
     Deleting nothing gives the tree, deleting some gives a disconnected
     forest and deleting all gives an edgeless graph; n = 0 and n = 1 occur.
+    ``max_deleted`` caps the deletions, and with them the stable sets of
+    a large forest (edgeless on 20 vertices has 2^20).
     """
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     if n == 0:
         return from_edge_list(0, [])
     tree_edges = list(edges(draw(trees(n, n))))
-    deleted = draw(st.sets(st.sampled_from(tree_edges))) if tree_edges else set()
+    deleted = (draw(st.sets(st.sampled_from(tree_edges), max_size=max_deleted))
+               if tree_edges else set())
     return from_edge_list(n, [e for e in tree_edges if e not in deleted])
 
 

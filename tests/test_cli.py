@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from lmss.bitset import bits
-from lmss.cli import build_parser, main
+from lmss.cli import _parse_gen_expr, build_parser, main
 from lmss.graph import (
+    MAX_EDGE_LIST_VERTICES,
     named_fixture,
     parse_graph6,
     path,
@@ -302,6 +303,23 @@ def test_gen_bad_expression(capsys):
     for expr in ("gnp:5:1/0", "gnp:5:0/0", "edgeless:-1", "gnp:-3:0.5"):
         code, _, err = run_cli(capsys, "psi", "--gen", expr)
         assert code == 2 and "bad generator expression" in err, expr
+
+
+@pytest.mark.parametrize("expr", [
+    f"{kind}:{MAX_EDGE_LIST_VERTICES + 1}" for kind in ("complete", "path", "cycle", "edgeless", "tree")
+] + [f"gnp:{MAX_EDGE_LIST_VERTICES + 1}:1/2", "path:1000000000000"])
+def test_gen_size_is_bounded(capsys, expr):
+    # the bound is checked before anything is built, so no kind allocates
+    code, out, err = run_cli(capsys, "gen", expr)
+    assert code == 2 and out == ""
+    assert f"vertex count must be in 0..{MAX_EDGE_LIST_VERTICES}" in err
+    code, _, err = run_cli(capsys, "psi", "--gen", expr)
+    assert code == 2 and "bad generator expression" in err
+
+
+def test_gen_size_bound_is_inclusive():
+    # built, not printed: its graph6 line alone is about 358 MB
+    assert _parse_gen_expr(f"edgeless:{MAX_EDGE_LIST_VERTICES}", 0).n == MAX_EDGE_LIST_VERTICES
 
 
 def test_file_and_stdin_inputs(tmp_path, capsys, monkeypatch):

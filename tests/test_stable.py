@@ -2,9 +2,10 @@
 
 import inspect
 import sys
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _strategies import forests, graphs, trees
@@ -324,9 +325,14 @@ def test_forest_psi_matches_naive(g):
     assert set(fam.members) == brute_psi(g)
 
 
-@given(forests(max_n=20))
+# The filter decides every stable set, so its input is kept to 2^16 of them:
+# few deletions, and no star-like tree (a star on 20 vertices has 2^19 + 1).
+# Near-edgeless forests and stars are checked against brute_psi by
+# test_forest_psi_matches_naive (n <= 12).
+@given(forests(max_n=20, max_deleted=3))
 @settings(max_examples=30, deadline=None)
 def test_forest_psi_matches_stream_filter(g):
+    assume(sum(1 for _ in islice(enumerate_stable_sets(g), 1 << 16 | 1)) <= 1 << 16)
     assert psi(g) == _stream_filter(g)
 
 
