@@ -20,6 +20,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import graph as G
 from .bitset import bits
@@ -31,8 +32,43 @@ from .stable import alpha, min_nonempty_size, psi
 from .theorems import THEOREM_IDS, TheoremReport, instance_from_graphs, run_on_instance, sweep
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for dicts with string keys.
+
+    Any indent sends json.dumps to its pure-Python encoder, and a
+    json.dumps call per scalar builds a new encoder each time. This writer
+    joins each nesting level with "," and ``pad`` two spaces deeper, prints
+    tuples as lists, quotes strings as json does, writes plain ints (not
+    bools) with str(), and leaves only floats to json.dumps.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = (_quote(key) + ": " + _json_text(value, inner) for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in obj):
+            items = map(str, obj)
+        else:
+            items = (_json_text(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if type(obj) is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    return json.dumps(obj)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json_text(obj))
 
 
 _GEN_ONE_PARAM = {"complete": G.complete, "path": G.path, "cycle": G.cycle, "edgeless": G.edgeless}

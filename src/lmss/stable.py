@@ -12,17 +12,18 @@ One walk visits the stable sets: enumerate_stable_sets(), omega() and,
 on a graph with a cycle, psi() all run it. It keeps an explicit stack, so
 it does not recurse per vertex of S. Each entry carries S, the vertices
 that may still join it, N(S), the vertices of N(S) with two or more
-neighbours in S, and |S|. A child S + v may take only the candidates
+neighbours in S, |S|, and the need and mask a rejection above it left
+(see below). A child S + v may take only the candidates
 after v that miss N(v), so each stable set is reached exactly once and
 non-stable sets never materialize; the child gets N(S) | N(v) and
 repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed
 lowest vertex first, so the highest is popped first: the stream follows
 no canonical order. Without a rule the walk yields every stable set. A
-rule may drop S and prune the sets below it: omega() drops S when |S|
-plus a greedy clique cover of its candidates falls short of alpha, and
-psi() keeps only the sets that pass the local-maximum test, which
-is_local_max_stable() shares (building the masks from S). The test
-decides whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
+rule may drop S and prune the sets below it: omega() drops every S below
+alpha and needs alpha - |S| more of its candidates, and psi() keeps only
+the sets that pass the local-maximum test, which is_local_max_stable()
+shares (building the masks from S). The test decides whether alpha(N[S])
+exceeds |S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
@@ -31,21 +32,30 @@ decides whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
   (S is stable in N[S]) and stops at the first larger stable set T, so a
   greedy clique cover of N[S] with |S| cliques accepts S at the root.
 
-A rejection prunes the walk. Let T be a stable set of N[S] with |T| > |S|,
-and U a stable set of the candidates, so U misses N[S]. If U also misses
-N(T), then T + U is stable, lies inside N[S + U] and is larger than
-S + U, so S + U is not in Psi. The blocking mask of T is N(T) - N[S]. A
-rejected S branches only on the candidates b_1 < b_2 < ... in that mask;
-the child for b_i leaves out b_1..b_i and N(b_i) but keeps the lower
-candidates outside the mask, so every stable set below S that meets the
-mask is reached exactly once, through its first vertex there.
+A rejection prunes the walk by its deficiency. Let T be a stable set of
+N[S] with |T| = |S| + d, and U a stable set of the candidates, so U misses
+N[S]. Then T + (U - N(T)) is stable, lies inside N[S + U] and has
+|S| + |U| + d - |U & N(T)| vertices, so S + U is not in Psi unless U puts
+at least d vertices into the blocking mask N(T) - N[S]. The swap gives
+d = 1; the floored search often stops at a T with d > 1, since it takes
+vertices of degree <= 1 without branching. A rejected S passes (mask, d)
+down as (mask, need): while need is positive the walk decides nothing,
+since no such set is in Psi, and branches only on the candidates
+b_1 < b_2 < ... in the mask. The child for b_i leaves out b_1..b_i and
+N(b_i) but keeps the lower candidates outside the mask, and needs one
+vertex fewer, so every stable set below S with at least d vertices in
+the mask is reached exactly once, through its first d vertices there. An
+entry is dropped when its candidates in the mask cannot hold need
+vertices: there are fewer than need, or, for need > 1, a greedy clique
+cover of them has fewer than need cliques. omega() hands the walk all of
+S's candidates with need alpha - |S|, so its prune is the same bound.
 
 Outcomes are memoized by closed-neighborhood mask, as (k, True, 0) for
 "alpha = k" or as (k, False, blk) for "alpha >= k", with blk the blocking
 mask of a stable set of size k; both depend on N[S] alone. A later set
-with the same N[S] and fewer than k vertices is rejected without a search.
-Its blocking mask is blk, or 0 when alpha is exact, since the accepted set
-that stored it lies in N[S] with its neighbours.
+with the same N[S] and fewer than k vertices is rejected without a search,
+with d = k - |S|. Its blocking mask is blk, or 0 when alpha is exact, since
+the accepted set that stored it lies in N[S] with its neighbours.
 
 On a forest psi() does not walk the stable sets. The pruned walk would
 finish, but 10 to 25 times slower: on 2 vCPUs, one run each, the DP
@@ -228,37 +238,35 @@ def alpha(g: Graph) -> int:
 def omega(g: Graph) -> SetFamily:
     """All maximum stable sets, canonically ordered.
 
-    The walk drops a stable set S, and every set below it, when |S| plus a
-    clique cover of its candidates falls short of alpha.
+    A stable set S below alpha needs alpha - |S| more vertices from its
+    candidates, so the walk drops it, and every set below it, when a clique
+    cover of its candidates has fewer cliques than that.
     """
     a = alpha(g)
-    adj = g.adj
 
-    def reach(s: int, k: int, once: int, twice: int, candidates: int) -> int:
-        if k == a:
-            return -1
-        return candidates if k + _clique_cover_bound(adj, candidates) >= a else 0
+    def reach(s: int, k: int, once: int, twice: int, candidates: int) -> tuple[int, int]:
+        return (-1, 0) if k == a else (candidates, a - k)
 
-    return SetFamily(g.n, _stable_walk(adj, reach))
+    return SetFamily(g.n, _stable_walk(g.adj, reach))
 
 
 def _decide_local_max(
     adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]]
-) -> int:
-    """-1 when the stable set ``s`` of size ``k`` is maximum within N[S], else a blocking mask.
+) -> tuple[int, int]:
+    """(-1, 0) when the stable set ``s`` of size ``k`` is maximum within N[S], else (mask, d).
 
     A reject returns the blocking mask N(T) - N[S] of a stable set T of
-    N[S] larger than S. ``once`` is N(S) and ``twice`` the vertices of N(S)
-    with at least two neighbours in S. ``memo`` maps a closed neighborhood
-    to (a, True, 0) when its stability number is a, or to (a, False, blk)
-    when a stable set T of size a there has blocking mask blk.
+    N[S] with |T| = k + d. ``once`` is N(S) and ``twice`` the vertices of
+    N(S) with at least two neighbours in S. ``memo`` maps a closed
+    neighborhood to (a, True, 0) when its stability number is a, or to
+    (a, False, blk) when a stable set T of size a there has blocking mask blk.
     """
     hood = s | once
     known = memo.get(hood)
     if known is not None:
         bound, exact, blk = known
         if exact or k < bound:
-            return -1 if k == bound else blk
+            return (-1, 0) if k == bound else (blk, bound - k)
     # a vertex of S with two non-adjacent private neighbours a and b swaps 1
     # for 2: T = (S - v) + {a, b}, and N(S - v) lies inside N[S]
     private = once & ~twice
@@ -275,46 +283,58 @@ def _decide_local_max(
             if other:
                 blk = (nbrs | adj[(other & -other).bit_length() - 1]) & ~hood
                 memo[hood] = (k + 1, False, blk)
-                return blk
+                return blk, 1
     a, found = _alpha_masked(adj, hood, k)
     if a == k:
         memo[hood] = (k, True, 0)
-        return -1
+        return -1, 0
     blk = 0
     for v in bits(found):
         blk |= adj[v]
     blk &= ~hood
     memo[hood] = (a, False, blk)
-    return blk
+    return blk, a - k
 
 
 def _stable_walk(
-    adj: tuple[int, ...], rule: Callable[[int, int, int, int, int], int] | None = None
+    adj: tuple[int, ...], rule: Callable[[int, int, int, int, int], tuple[int, int]] | None = None
 ) -> Iterator[int]:
     """Every stable set once or, given a rule, the sets the rule keeps.
 
-    Each stack entry (S, candidates, N(S), repeats, |S|) is a stable set
-    with the vertices that may still join it; a child's masks are one OR
-    and one AND away from its parent's. ``rule(S, |S|, N(S), repeats,
-    candidates)`` returns -1 to keep S and branch on every candidate, or a
-    mask to drop S and branch only on the candidates in it. The child for
-    the i-th of those, b_i, leaves out b_1..b_i and N(b_i), and keeps the
-    candidates below b_i that are not in the mask.
+    Each stack entry (S, candidates, N(S), repeats, |S|, need, mask) is a
+    stable set with the vertices that may still join it; a child's masks
+    are one OR and one AND away from its parent's. ``rule(S, |S|, N(S),
+    repeats, candidates)`` returns (-1, 0) to keep S and branch on every
+    candidate, or (mask, d) with d >= 1 to drop S: a set below S can be
+    kept only if it adds d vertices of the mask. While need is positive the
+    walk asks no rule; it branches only on the candidates b_1 < b_2 < ... in
+    the mask, and the child for b_i leaves out b_1..b_i and N(b_i), keeps
+    the candidates below b_i that are not in the mask, and needs one vertex
+    fewer. An entry is dropped when the candidates in its mask cannot hold
+    a stable set of size need: fewer vertices, or for need > 1 a clique
+    cover with fewer cliques.
     """
-    stack = [(0, full_mask(len(adj)), 0, 0, 0)]
+    stack = [(0, full_mask(len(adj)), 0, 0, 0, 0, 0)]
     while stack:
-        s, candidates, once, twice, k = stack.pop()
-        branch = -1 if rule is None else rule(s, k, once, twice, candidates)
-        if branch < 0:
-            yield s
-        branch &= candidates
+        s, candidates, once, twice, k, need, mask = stack.pop()
+        if not need:
+            if rule is not None:
+                mask, need = rule(s, k, once, twice, candidates)
+            if not need:
+                yield s
+                mask = candidates
+        branch = mask & candidates
+        if need:
+            if branch.bit_count() < need or need > 1 and _clique_cover_bound(adj, branch) < need:
+                continue
+            need -= 1
         k += 1
         while branch:
             low = branch & -branch
             nbrs = adj[low.bit_length() - 1]
             branch ^= low
             candidates ^= low
-            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k))
+            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k, need, mask))
 
 
 def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool, int]]) -> bool:
@@ -327,7 +347,7 @@ def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool,
         twice |= once & nbrs
         once |= nbrs
         rest ^= low
-    return _decide_local_max(adj, s, s.bit_count(), once, twice, memo) < 0
+    return _decide_local_max(adj, s, s.bit_count(), once, twice, memo)[0] < 0
 
 
 def is_local_max_stable(g: Graph, s: int) -> bool:
@@ -399,7 +419,7 @@ def psi(g: Graph) -> SetFamily:
     if members is None:
         memo: dict[int, tuple[int, bool, int]] = {}
 
-        def decide(s: int, k: int, once: int, twice: int, candidates: int) -> int:
+        def decide(s: int, k: int, once: int, twice: int, candidates: int) -> tuple[int, int]:
             return _decide_local_max(adj, s, k, once, twice, memo)
 
         members = list(_stable_walk(adj, decide))

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lmss.bitset import bits
-from lmss.cli import _parse_gen_expr, build_parser, main
+from lmss.cli import _json_text, _parse_gen_expr, build_parser, main
 from lmss.graph import (
     MAX_EDGE_LIST_VERTICES,
     named_fixture,
@@ -63,6 +65,30 @@ def test_json_output_is_byte_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "psi", "--gen", "gnp:9:0.3", "--seed", "5", "--format", "json")
     _, out2, _ = run_cli(capsys, "psi", "--gen", "gnp:9:0.3", "--seed", "5", "--format", "json")
     assert out1 == out2
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.text(),
+)
+
+
+@given(st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.one_of(st.booleans(), st.integers()), max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+))
+def test_json_writer_matches_indented_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_check_exit_codes_and_json(capsys):

@@ -381,34 +381,102 @@ def test_walk_matches_stream_filter(g):
     assert not (set(recursive_stable_sets(g)) - set(decided)) & brute_psi(g)
     # N(S) and the vertices of N(S) that have two or more neighbours in S are
     # carried down the walk, not rebuilt. The walk is a preorder, so a set's
-    # parent is the last set decided one level up, and the children of a
-    # rejected set add a vertex of its blocking mask, which misses N[S]
-    last = {}
-    for _, s, k, once, twice, _, blk in decisions:
+    # nearest decided ancestor is the last decided set that is a subset of
+    # it once the sets of finished subtrees are popped. An accepted set's
+    # children are decided, each one vertex larger; below a set rejected
+    # with (blk, d) the walk decides no set until it has added d vertices of
+    # blk, and blk misses N[S]
+    ancestors = []
+    for _, s, k, once, twice, _, (blk, d) in decisions:
         counts = [(row & s).bit_count() for row in g.adj]
         assert k == s.bit_count()
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
         assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
-        assert blk < 0 or blk & (s | once) == 0
+        assert (blk, d) == (-1, 0) or d >= 1 and blk >= 0 and blk & (s | once) == 0
+        while ancestors and ancestors[-1][0] & ~s:
+            ancestors.pop()
         if k:
-            parent, parent_blk = last[k - 1]
+            parent, parent_blk, parent_d = ancestors[-1]
             added = s & ~parent
-            assert s & parent == parent and added.bit_count() == 1
-            assert parent_blk < 0 or added & parent_blk
-        last[k] = (s, blk)
+            assert s & parent == parent and added.bit_count() == max(parent_d, 1)
+            assert parent_blk < 0 or (added & parent_blk).bit_count() >= parent_d
+        ancestors.append((s, blk, d))
     assert fam == _stream_filter(g)
 
 
 @given(graphs_with_a_cycle(max_n=10))
 @settings(max_examples=60, deadline=None)
 def test_rejections_return_a_blocking_mask(g):
-    # a rejected S returns N(T) - N[S] for some stable set T of N[S] larger than S
+    # a rejected S returns N(T) - N[S] for some stable set T of N[S] with d
+    # more vertices than S
     closed = [(t, brute_closed_neighborhood(g, t)) for t in brute_stable_sets(g)]
     _, decisions = _psi_walked(g)
-    for _, s, k, once, _, _, blk in decisions:
+    for _, s, k, once, _, _, (blk, d) in decisions:
         if blk >= 0:
             hood = s | once
-            assert any(t & ~hood == 0 and t.bit_count() > k and nt & ~hood == blk for t, nt in closed)
+            assert any(t & ~hood == 0 and t.bit_count() == k + d and nt & ~hood == blk for t, nt in closed)
+
+
+def _grid(rows, cols):
+    """The rows x cols grid: vertex r * cols + c joins its right and lower neighbours."""
+    n = rows * cols
+    right = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    return from_edge_list(n, right + [(v, v + cols) for v in range(n - cols)])
+
+
+def _prism(k):
+    """C_k x K2: two k-cycles, vertex i of the first joined to vertex k + i of the second."""
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    return from_edge_list(2 * k, ring + [(k + i, k + j) for i, j in ring] + [(i, k + i) for i in range(k)])
+
+
+def _hypercube(d):
+    return from_edge_list(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1])
+
+
+@st.composite
+def bipartite_graphs(draw, max_n=14):
+    """A grid, a prism C_k x K2 or a bipartite G(n, p) with a cycle, relabelled at random."""
+    kind = draw(st.sampled_from(("grid", "prism", "gnp")))
+    if kind == "grid":
+        rows = draw(st.integers(2, max_n // 2))
+        g = _grid(rows, draw(st.integers(2, max_n // rows)))
+    elif kind == "prism":
+        g = _prism(2 * draw(st.integers(2, max_n // 4)))  # bipartite for even k
+    else:
+        # a 4-cycle on vertices 0..3 keeps the graph off the forest DP
+        n = draw(st.integers(4, max_n))
+        side = [False, True, False, True] + draw(st.lists(st.booleans(), min_size=n - 4, max_size=n - 4))
+        cross = [(i, j) for j in range(n) for i in range(j) if side[i] != side[j]]
+        g = from_edge_list(n, [(0, 1), (1, 2), (2, 3), (0, 3)] + draw(st.lists(st.sampled_from(cross), unique=True)))
+    perm = draw(st.permutations(range(g.n)))
+    return from_edge_list(g.n, [(perm[i], perm[j]) for i, j in edges(g)])
+
+
+@given(bipartite_graphs())
+@settings(max_examples=80, deadline=None)
+def test_carried_walk_matches_naive_on_bipartite_graphs(g):
+    fam, decisions = _psi_walked(g)
+    members = brute_psi(g)
+    assert set(fam.members) == members
+    # the walk decides no set while it still needs vertices of a blocking
+    # mask, and none below a pruned entry; none of those is a member
+    decided = {s for _, s, *_ in decisions}
+    assert not (set(brute_stable_sets(g)) - decided) & members
+
+
+@pytest.mark.parametrize("g", [_grid(6, 6), _hypercube(5)], ids=["grid6x6", "Q5"])
+def test_bipartite_anchors(g):
+    # Psi holds only the empty set and the two colour classes
+    side = {0: 0}
+    queue = [0]
+    for v in queue:
+        for u in bits(g.adj[v]):
+            if u not in side:
+                side[u] = 1 - side[v]
+                queue.append(u)
+    one = sum(1 << v for v, c in side.items() if c)
+    assert psi(g).members == (0, *sorted((one, one ^ ((1 << g.n) - 1))))
 
 
 @st.composite
