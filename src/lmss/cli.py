@@ -29,7 +29,8 @@ from .greedoid import accessibility_chain, is_greedoid
 from .ops import CompositeGraph, composition, corona, disjoint_union, lexicographic_product, zykov_sum
 from .rng import SplitMix64
 from .stable import alpha, min_nonempty_size, psi
-from .theorems import THEOREM_IDS, TheoremReport, instance_from_graphs, run_on_instance, sweep
+from .theorems import (SWEEP_COUNT, SWEEP_MAX_SIZE, THEOREM_IDS, TheoremReport, instance_from_graphs,
+                       run_on_instance, sweep)
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -103,10 +104,12 @@ def _parse_gen_expr(expr: str, seed: int) -> Graph:
 
 
 def _read_graph_text(text: str) -> Graph:
-    stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    first = next((ln for ln in stripped if ln), "")
+    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+    first = lines[0] if lines else ""
     if first.startswith("n ") or first == "n":
         return G.parse_edge_list_text(text)
+    if len(lines) > 1:
+        raise ValueError(f"a graph6 input holds one graph on one line, got {len(lines)} non-blank lines")
     return G.parse_graph6(first)
 
 
@@ -262,10 +265,6 @@ def _report_line(r: TheoremReport) -> str:
     return out
 
 
-_SWEEP_SIZE_DEFAULT = 10
-_SWEEP_COUNT_DEFAULT = 20
-
-
 def cmd_verify(args) -> int:
     # the sweep flags default to None, so a flag given where it would be ignored is an error
     if args.inputs:
@@ -281,8 +280,8 @@ def cmd_verify(args) -> int:
     else:
         reports = sweep(
             args.theorem,
-            max_size=_SWEEP_SIZE_DEFAULT if args.sweep is None else args.sweep,
-            count=_SWEEP_COUNT_DEFAULT if args.count is None else args.count,
+            max_size=SWEEP_MAX_SIZE if args.sweep is None else args.sweep,
+            count=SWEEP_COUNT if args.count is None else args.count,
             seed=args.seed, exhaustive=args.exhaustive)
     if args.format == "json":
         _emit_json([r.as_dict() for r in reports])
@@ -345,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", metavar="SPEC",
                    help="explicit instance; omit to run a seeded sweep")
     p.add_argument("--sweep", type=int, metavar="N",
-                   help=f"max composite size for sweep instances (default {_SWEEP_SIZE_DEFAULT}; "
+                   help=f"max composite size for sweep instances (default {SWEEP_MAX_SIZE}; "
                         "at least 4 for the part and corona theorems, 6 for COR_CORONA)")
     p.add_argument("--count", type=int, metavar="K",
-                   help=f"number of sweep instances (default {_SWEEP_COUNT_DEFAULT}; "
+                   help=f"number of sweep instances (default {SWEEP_COUNT}; "
                         "not with --exhaustive)")
     p.add_argument("--exhaustive", action="store_true",
                    help="exhaustive sweep (T1_NT corpus, --sweep <= 7; T2_TREE all labeled trees)")

@@ -12,18 +12,18 @@ One walk visits the stable sets: enumerate_stable_sets(), omega() and,
 on a graph with a cycle, psi() all run it. It keeps an explicit stack, so
 it does not recurse per vertex of S. Each entry carries S, the vertices
 that may still join it, N(S), the vertices of N(S) with two or more
-neighbours in S, |S|, and the need and mask a rejection above it left
-(see below). A child S + v may take only the candidates
-after v that miss N(v), so each stable set is reached exactly once and
-non-stable sets never materialize; the child gets N(S) | N(v) and
-repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed
-lowest vertex first, so the highest is popped first: the stream follows
-no canonical order. Without a rule the walk yields every stable set. A
-rule may drop S and prune the sets below it: omega() drops every S below
-alpha and needs alpha - |S| more of its candidates, and psi() keeps only
-the sets that pass the local-maximum test, which is_local_max_stable()
-shares (building the masks from S). The test decides whether alpha(N[S])
-exceeds |S| without computing alpha(N[S]):
+neighbours in S, |S|, and a need and mask (see below). A child S + v may
+take only the candidates after v that miss N(v), so each stable set is
+reached exactly once and non-stable sets never materialize; the child gets
+N(S) | N(v) and repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children
+are pushed lowest vertex first, so the highest is popped first: the stream
+follows no canonical order. The root carries a starting need k with the
+mask of all vertices, so the walk yields exactly the stable sets with at
+least k vertices: enumerate_stable_sets() starts from need 0 and omega()
+from need alpha. Given a memo, as psi() gives it, the walk keeps only the
+sets that pass the local-maximum test, which is_local_max_stable() shares
+(building the masks from S). The test decides whether alpha(N[S]) exceeds
+|S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
@@ -47,8 +47,8 @@ vertex fewer, so every stable set below S with at least d vertices in
 the mask is reached exactly once, through its first d vertices there. An
 entry is dropped when its candidates in the mask cannot hold need
 vertices: there are fewer than need, or, for need > 1, a greedy clique
-cover of them has fewer than need cliques. omega() hands the walk all of
-S's candidates with need alpha - |S|, so its prune is the same bound.
+cover of them has fewer than need cliques. omega()'s starting need alpha
+meets the same bound at every set below alpha.
 
 Outcomes are memoized by closed-neighborhood mask, as (k, True, 0) for
 "alpha = k" or as (k, False, blk) for "alpha >= k", with blk the blocking
@@ -86,7 +86,7 @@ pass over the vertices.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .bitset import bits, full_mask
 from .graph import Graph
@@ -238,16 +238,11 @@ def alpha(g: Graph) -> int:
 def omega(g: Graph) -> SetFamily:
     """All maximum stable sets, canonically ordered.
 
-    A stable set S below alpha needs alpha - |S| more vertices from its
-    candidates, so the walk drops it, and every set below it, when a clique
-    cover of its candidates has fewer cliques than that.
+    The walk starts from need alpha, so it yields only the sets of size
+    alpha and drops a set below it, with every set below that, when a
+    clique cover of its candidates has fewer cliques than it still needs.
     """
-    a = alpha(g)
-
-    def reach(s: int, k: int, once: int, twice: int, candidates: int) -> tuple[int, int]:
-        return (-1, 0) if k == a else (candidates, a - k)
-
-    return SetFamily(g.n, _stable_walk(g.adj, reach))
+    return SetFamily(g.n, _stable_walk(g.adj, alpha(g)))
 
 
 def _decide_local_max(
@@ -297,29 +292,31 @@ def _decide_local_max(
 
 
 def _stable_walk(
-    adj: tuple[int, ...], rule: Callable[[int, int, int, int, int], tuple[int, int]] | None = None
+    adj: tuple[int, ...], need: int = 0, memo: dict[int, tuple[int, bool, int]] | None = None
 ) -> Iterator[int]:
-    """Every stable set once or, given a rule, the sets the rule keeps.
+    """Every stable set with at least ``need`` vertices once or, given a memo, those in Psi.
 
     Each stack entry (S, candidates, N(S), repeats, |S|, need, mask) is a
     stable set with the vertices that may still join it; a child's masks
-    are one OR and one AND away from its parent's. ``rule(S, |S|, N(S),
-    repeats, candidates)`` returns (-1, 0) to keep S and branch on every
-    candidate, or (mask, d) with d >= 1 to drop S: a set below S can be
-    kept only if it adds d vertices of the mask. While need is positive the
-    walk asks no rule; it branches only on the candidates b_1 < b_2 < ... in
-    the mask, and the child for b_i leaves out b_1..b_i and N(b_i), keeps
-    the candidates below b_i that are not in the mask, and needs one vertex
-    fewer. An entry is dropped when the candidates in its mask cannot hold
-    a stable set of size need: fewer vertices, or for need > 1 a clique
-    cover with fewer cliques.
+    are one OR and one AND away from its parent's. The root carries
+    ``need`` with the mask of all vertices. While need is positive the walk
+    yields and decides nothing; it branches only on the candidates
+    b_1 < b_2 < ... in the mask, and the child for b_i leaves out b_1..b_i
+    and N(b_i), keeps the candidates below b_i that are not in the mask,
+    and needs one vertex fewer. An entry is dropped when the candidates in
+    its mask cannot hold a stable set of size need: fewer vertices, or for
+    need > 1 a clique cover with fewer cliques. At need 0 without a memo S
+    is yielded and every candidate branched on. With a memo S is decided by
+    _decide_local_max(): a kept S is yielded likewise, and a rejected S
+    takes the returned (mask, d) as its mask and need.
     """
-    stack = [(0, full_mask(len(adj)), 0, 0, 0, 0, 0)]
+    full = full_mask(len(adj))
+    stack = [(0, full, 0, 0, 0, need, full)]
     while stack:
         s, candidates, once, twice, k, need, mask = stack.pop()
         if not need:
-            if rule is not None:
-                mask, need = rule(s, k, once, twice, candidates)
+            if memo is not None:
+                mask, need = _decide_local_max(adj, s, k, once, twice, memo)
             if not need:
                 yield s
                 mask = candidates
@@ -417,12 +414,7 @@ def psi(g: Graph) -> SetFamily:
     adj = g.adj
     members = _forest_psi(adj)
     if members is None:
-        memo: dict[int, tuple[int, bool, int]] = {}
-
-        def decide(s: int, k: int, once: int, twice: int, candidates: int) -> tuple[int, int]:
-            return _decide_local_max(adj, s, k, once, twice, memo)
-
-        members = list(_stable_walk(adj, decide))
+        members = list(_stable_walk(adj, memo={}))
     return SetFamily(g.n, members)
 
 

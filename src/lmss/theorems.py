@@ -346,6 +346,8 @@ def corpus_upto(n: int) -> list[Graph]:
 # -- instance shapes and the theorem table ------------------------------------------
 
 _EDGE_PROBS = ((15, 100), (30, 100), (50, 100))
+SWEEP_MAX_SIZE = 10
+SWEEP_COUNT = 20
 
 
 def _draw_graph(rand: SplitMix64, n: int) -> Graph:
@@ -486,7 +488,7 @@ def run_on_instance(theorem: str, instance, seed: int | None = None) -> TheoremR
     return entry.verify(*entry.shape.args(instance), seed)
 
 
-def sweep(theorem: str, *, max_size: int = 12, count: int = 100, seed: int = 0,
+def sweep(theorem: str, *, max_size: int = SWEEP_MAX_SIZE, count: int = SWEEP_COUNT, seed: int = 0,
           exhaustive: bool = False) -> list[TheoremReport]:
     """Run one theorem over generated instances; order is deterministic.
 

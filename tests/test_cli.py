@@ -292,6 +292,8 @@ def test_verify_sweep_defaults(capsys):
     assert code == 0
     expected = [r.as_dict() for r in sweep("L4_ZYKOV_BOUND", max_size=10, count=20, seed=0)]
     assert json.loads(out) == expected
+    # the CLI falls back to the library's defaults, not to a pair of its own
+    assert json.loads(out) == [r.as_dict() for r in sweep("L4_ZYKOV_BOUND")]
 
 
 def test_verify_unknown_theorem(capsys):
@@ -364,6 +366,18 @@ def test_file_and_stdin_inputs(tmp_path, capsys, monkeypatch):
     code, out2, _ = run_cli(capsys, "psi", "--file", "-", "--format", "json")
     assert code == 0
     assert json.loads(out2)["n"] == 4
+
+
+def test_graph6_file_holds_one_graph(tmp_path, capsys):
+    two = tmp_path / "two.g6"
+    two.write_text("Dhc\nGARBAGE!!\n")
+    for argv in (("psi", "--file", str(two)), ("verify", "T1_NT", f"file:{two}")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "got 2 non-blank lines" in err
+    one = tmp_path / "one.g6"
+    one.write_text("Dhc\n\n  \n")
+    code, out, _ = run_cli(capsys, "psi", "--file", str(one), "--format", "json")
+    assert code == 0 and json.loads(out)["n"] == 5
 
 
 def test_exactly_one_input_source_required(capsys):

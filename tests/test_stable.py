@@ -404,6 +404,17 @@ def test_walk_matches_stream_filter(g):
     assert fam == _stream_filter(g)
 
 
+@given(st.one_of(graphs(max_n=12), graphs_with_a_cycle(max_n=12)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_walk_from_a_root_need_yields_the_larger_stable_sets(g, data):
+    # with a root need k and no memo, the walk yields each stable set with
+    # at least k vertices once, and no other set
+    k = data.draw(st.integers(0, brute_alpha(g) + 1))
+    seen = list(stable._stable_walk(g.adj, k))
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == [s for s in brute_stable_sets(g) if s.bit_count() >= k]
+
+
 @given(graphs_with_a_cycle(max_n=10))
 @settings(max_examples=60, deadline=None)
 def test_rejections_return_a_blocking_mask(g):
