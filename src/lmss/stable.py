@@ -12,7 +12,7 @@ One walk visits the stable sets: enumerate_stable_sets(), omega() and,
 on a graph with a cycle, psi() all run it. It keeps an explicit stack, so
 it does not recurse per vertex of S. Each entry carries S, the vertices
 that may still join it, N(S), the vertices of N(S) with two or more
-neighbours in S, |S|, and a need and mask (see below). A child S + v may
+neighbours in S, |S|, and a need, mask and base (below). A child S + v may
 take only the candidates after v that miss N(v), so each stable set is
 reached exactly once and non-stable sets never materialize; the child gets
 N(S) | N(v) and repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children
@@ -31,6 +31,18 @@ sets that pass the local-maximum test, which is_local_max_stable() shares
 * otherwise the branch-and-bound runs floored: it starts from best = |S|
   (S is stable in N[S]) and stops at the first larger stable set T, so a
   greedy clique cover of N[S] with |S| cliques accepts S at the root.
+
+Both run outside the closed neighbourhood of an accepted subset. For A in
+Psi and a stable S containing A, alpha(N[S]) = |A| + alpha(N[S] - N[A]):
+N[S] is N[A] plus N[S] - N[A], and alpha(N[A]) = |A|; and a stable W in
+N[S] - N[A] misses N[A], so A + W is stable in N[S]. So S is in Psi
+exactly when S - A is maximum in N[S] - N[A], and the search runs there
+from the floor |S - A|; a larger T' found there gives T = A + T'. The swap
+scans only S - A: on a vertex v of A it would make (A - v) + {a, b}, which
+beats A inside N[A]. Each entry carries as base N[A] for its nearest
+accepted ancestor A, or 0 for A empty at the root: an accepted S gives
+its children base N[S], and a rejected S passes its own base down, as
+does every entry with a need.
 
 A rejection prunes the walk by its deficiency. Let T be a stable set of
 N[S] with |T| = |S| + d, and U a stable set of the candidates, so U misses
@@ -246,15 +258,19 @@ def omega(g: Graph) -> SetFamily:
 
 
 def _decide_local_max(
-    adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]]
+    adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]], base: int = 0
 ) -> tuple[int, int]:
     """(-1, 0) when the stable set ``s`` of size ``k`` is maximum within N[S], else (mask, d).
 
     A reject returns the blocking mask N(T) - N[S] of a stable set T of
     N[S] with |T| = k + d. ``once`` is N(S) and ``twice`` the vertices of
-    N(S) with at least two neighbours in S. ``memo`` maps a closed
-    neighborhood to (a, True, 0) when its stability number is a, or to
-    (a, False, blk) when a stable set T of size a there has blocking mask blk.
+    N(S) with at least two neighbours in S. ``base`` is N[A] for a subset A
+    of S in Psi, or 0 for A empty: the swap scans only S - A, and the
+    search runs on N[S] - N[A] from the floor |S - A|; a larger T' found
+    there gives T = A + T', whose blocking mask is N(T') - N[S] since N(A)
+    lies inside N[S]. ``memo`` maps a closed neighborhood to (a, True, 0)
+    when its stability number is a, or to (a, False, blk) when a stable set
+    T of size a there has blocking mask blk.
     """
     hood = s | once
     known = memo.get(hood)
@@ -265,7 +281,7 @@ def _decide_local_max(
     # a vertex of S with two non-adjacent private neighbours a and b swaps 1
     # for 2: T = (S - v) + {a, b}, and N(S - v) lies inside N[S]
     private = once & ~twice
-    rest = s
+    rest = s & ~base
     while rest:
         low = rest & -rest
         cand = adj[low.bit_length() - 1] & private
@@ -279,16 +295,18 @@ def _decide_local_max(
                 blk = (nbrs | adj[(other & -other).bit_length() - 1]) & ~hood
                 memo[hood] = (k + 1, False, blk)
                 return blk, 1
-    a, found = _alpha_masked(adj, hood, k)
-    if a == k:
+    u = k - (s & base).bit_count()
+    a, found = _alpha_masked(adj, hood & ~base, u)
+    if a == u:
         memo[hood] = (k, True, 0)
         return -1, 0
     blk = 0
     for v in bits(found):
         blk |= adj[v]
     blk &= ~hood
-    memo[hood] = (a, False, blk)
-    return blk, a - k
+    d = a - u
+    memo[hood] = (k + d, False, blk)
+    return blk, d
 
 
 def _stable_walk(
@@ -296,30 +314,33 @@ def _stable_walk(
 ) -> Iterator[int]:
     """Every stable set with at least ``need`` vertices once or, given a memo, those in Psi.
 
-    Each stack entry (S, candidates, N(S), repeats, |S|, need, mask) is a
-    stable set with the vertices that may still join it; a child's masks
-    are one OR and one AND away from its parent's. The root carries
-    ``need`` with the mask of all vertices. While need is positive the walk
-    yields and decides nothing; it branches only on the candidates
-    b_1 < b_2 < ... in the mask, and the child for b_i leaves out b_1..b_i
-    and N(b_i), keeps the candidates below b_i that are not in the mask,
-    and needs one vertex fewer. An entry is dropped when the candidates in
-    its mask cannot hold a stable set of size need: fewer vertices, or for
-    need > 1 a clique cover with fewer cliques. At need 0 without a memo S
+    Each stack entry (S, candidates, N(S), repeats, |S|, need, mask, base)
+    is a stable set with the vertices that may still join it; a child's
+    masks are one OR and one AND away from its parent's. The root carries
+    ``need`` with the mask of all vertices and base 0. While need is
+    positive the walk yields and decides nothing; it branches only on the
+    candidates b_1 < b_2 < ... in the mask, and the child for b_i leaves
+    out b_1..b_i and N(b_i), keeps the candidates below b_i that are not in
+    the mask, and needs one vertex fewer. An entry is dropped when the
+    candidates in its mask cannot hold a stable set of size need: fewer
+    vertices, or for need > 1 a clique cover with fewer cliques. At need 0 without a memo S
     is yielded and every candidate branched on. With a memo S is decided by
-    _decide_local_max(): a kept S is yielded likewise, and a rejected S
-    takes the returned (mask, d) as its mask and need.
+    _decide_local_max() against its base, N[A] for its nearest accepted
+    ancestor A: a kept S is yielded likewise and gives its children base
+    N[S], and a rejected S takes the returned (mask, d) as its mask and
+    need and keeps its base.
     """
     full = full_mask(len(adj))
-    stack = [(0, full, 0, 0, 0, need, full)]
+    stack = [(0, full, 0, 0, 0, need, full, 0)]
     while stack:
-        s, candidates, once, twice, k, need, mask = stack.pop()
+        s, candidates, once, twice, k, need, mask, base = stack.pop()
         if not need:
             if memo is not None:
-                mask, need = _decide_local_max(adj, s, k, once, twice, memo)
+                mask, need = _decide_local_max(adj, s, k, once, twice, memo, base)
             if not need:
                 yield s
                 mask = candidates
+                base = s | once
         branch = mask & candidates
         if need:
             if branch.bit_count() < need or need > 1 and _clique_cover_bound(adj, branch) < need:
@@ -331,7 +352,7 @@ def _stable_walk(
             nbrs = adj[low.bit_length() - 1]
             branch ^= low
             candidates ^= low
-            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k, need, mask))
+            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k, need, mask, base))
 
 
 def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool, int]]) -> bool:

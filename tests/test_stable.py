@@ -240,6 +240,25 @@ def test_floored_search_reject_then_exact_memo(monkeypatch):
     assert psi(k23).members == (0, 0b01100, 0b10100, 0b11000, 0b11100)
 
 
+def test_search_skips_the_accepted_ancestors_hood(monkeypatch):
+    # the path 3-1-0-2-4 and the isolated vertex 5: A = {5} is in Psi, so
+    # S = {1, 2, 5} is decided on N[S] - N[A] = {0, ..., 4} from floor 2
+    g = from_edge_list(6, [(1, 3), (0, 1), (0, 2), (2, 4)])
+    s, once, twice = 0b100110, 0b011001, 0b000001
+    searches = []
+    search = stable._alpha_masked
+
+    def counted(adj, avail, floor=None):
+        searches.append((avail, floor))
+        return search(adj, avail, floor)
+
+    monkeypatch.setattr(stable, "_alpha_masked", counted)
+    assert stable._decide_local_max(g.adj, s, 3, once, twice, {}, 0b100000) == (0, 1)
+    assert searches == [(0b11111, 2)]
+    assert stable._decide_local_max(g.adj, s, 3, once, twice, {}, 0) == (0, 1)
+    assert searches == [(0b11111, 2), (0b111111, 3)]
+
+
 def test_psi_p4_frozen():
     fam = psi(path(4))
     assert fam.members == (0, 0b0001, 0b1000, 0b0101, 0b1001, 0b1010)
@@ -385,9 +404,10 @@ def test_walk_matches_stream_filter(g):
     # it once the sets of finished subtrees are popped. An accepted set's
     # children are decided, each one vertex larger; below a set rejected
     # with (blk, d) the walk decides no set until it has added d vertices of
-    # blk, and blk misses N[S]
+    # blk, and blk misses N[S]. Each set carries N[A] for its nearest
+    # accepted ancestor A, or 0 at the root
     ancestors = []
-    for _, s, k, once, twice, _, (blk, d) in decisions:
+    for _, s, k, once, twice, _, base, (blk, d) in decisions:
         counts = [(row & s).bit_count() for row in g.adj]
         assert k == s.bit_count()
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
@@ -395,6 +415,8 @@ def test_walk_matches_stream_filter(g):
         assert (blk, d) == (-1, 0) or d >= 1 and blk >= 0 and blk & (s | once) == 0
         while ancestors and ancestors[-1][0] & ~s:
             ancestors.pop()
+        accepted = [a for a, a_blk, _ in ancestors if a_blk < 0]
+        assert base == (brute_closed_neighborhood(g, accepted[-1]) if accepted else 0)
         if k:
             parent, parent_blk, parent_d = ancestors[-1]
             added = s & ~parent
@@ -422,10 +444,25 @@ def test_rejections_return_a_blocking_mask(g):
     # more vertices than S
     closed = [(t, brute_closed_neighborhood(g, t)) for t in brute_stable_sets(g)]
     _, decisions = _psi_walked(g)
-    for _, s, k, once, _, _, (blk, d) in decisions:
+    for _, s, k, once, _, _, _, (blk, d) in decisions:
         if blk >= 0:
             hood = s | once
             assert any(t & ~hood == 0 and t.bit_count() == k + d and nt & ~hood == blk for t, nt in closed)
+
+
+@given(st.one_of(graphs(max_n=10), graphs_with_a_cycle(max_n=10)))
+@settings(max_examples=60, deadline=None)
+def test_accepted_subset_splits_alpha_of_the_hood(g):
+    # for A in Psi and a stable S containing A, alpha(N[S]) is |A| plus
+    # alpha(N[S] - N[A]), so the walk decides S outside N[A]
+    table = brute_alpha_table(g)
+    stable_sets = brute_stable_sets(g)
+    for a in brute_psi(g):
+        around = brute_closed_neighborhood(g, a)
+        for s in stable_sets:
+            if s & a == a:
+                hood = brute_closed_neighborhood(g, s)
+                assert table[hood] == a.bit_count() + table[hood & ~around]
 
 
 def _grid(rows, cols):
