@@ -85,10 +85,11 @@ def _parse_gen_expr(expr: str, seed: int) -> Graph:
             "(use complete:N, path:N, cycle:N, edgeless:N, tree:N, gnp:N:P or a fixture name)"
         )
     try:
-        n = int(params[0])
-        # the same bound as an edge list's header, checked before anything is built
-        if not 0 <= n <= G.MAX_EDGE_LIST_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{G.MAX_EDGE_LIST_VERTICES}, got {n}")
+        n = G.parse_count(params[0])
+        # the same rule and bound as an edge list's header, checked before anything is built
+        if n is None or n > G.MAX_EDGE_LIST_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{G.MAX_EDGE_LIST_VERTICES} in decimal digits, "
+                             f"got {params[0]!r}")
         if kind == "gnp":
             p = Fraction(params[1])
             if not 0 <= p <= 1:

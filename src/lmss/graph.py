@@ -254,6 +254,23 @@ def parse_graph6(data: bytes | str) -> Graph:
 MAX_EDGE_LIST_VERTICES = 1 << 16
 
 
+def parse_count(token: str) -> int | None:
+    """``token`` as a count or vertex index, or None unless it is ASCII decimal digits only.
+
+    int() alone also reads a sign, underscores between digits, surrounding
+    whitespace and non-ASCII digits, so "+3", "3_0" and "\u0663" would pass.
+    ``MAX_EDGE_LIST_VERTICES`` bounds every count read from text, so a
+    larger value comes back as ``MAX_EDGE_LIST_VERTICES + 1`` and no token
+    is too long to read.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0")
+    if len(digits) > len(str(MAX_EDGE_LIST_VERTICES)):
+        return MAX_EDGE_LIST_VERTICES + 1
+    return min(int(digits or "0"), MAX_EDGE_LIST_VERTICES + 1)
+
+
 def parse_edge_list_text(text: str) -> Graph:
     """Plain text format: first line "n <count>", then one "u v" pair per line.
 
@@ -268,25 +285,20 @@ def parse_edge_list_text(text: str) -> Graph:
             continue
         tokens = line.split()
         if n is None:
-            # isdecimal, not isdigit: "²" is a digit that int() refuses
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
+            n = parse_count(tokens[1]) if len(tokens) == 2 and tokens[0] == "n" else None
+            if n is None:
                 raise EdgeListError('expected header "n <count>"', lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:  # more digits than int() converts from text
-                n = MAX_EDGE_LIST_VERTICES + 1
             if n > MAX_EDGE_LIST_VERTICES:
                 raise EdgeListError(
                     f"vertex count too large (at most {MAX_EDGE_LIST_VERTICES})", lineno)
             continue
         if len(tokens) != 2:
             raise EdgeListError('expected an edge line "u v"', lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListError(f"non-integer endpoint in {line!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(f"endpoint out of range in ({u},{v})", lineno)
+        u, v = parse_count(tokens[0]), parse_count(tokens[1])
+        if u is None or v is None:
+            raise EdgeListError(f"non-decimal endpoint in {line!r}", lineno)
+        if not (u < n and v < n):
+            raise EdgeListError(f"endpoint out of range in ({tokens[0]},{tokens[1]})", lineno)
         if u == v:
             raise EdgeListError(f"self-loop ({u},{v})", lineno)
         pairs.append((u, v))

@@ -12,7 +12,7 @@ One walk visits the stable sets: enumerate_stable_sets(), omega() and,
 on a graph with a cycle, psi() all run it. It keeps an explicit stack, so
 it does not recurse per vertex of S. Each entry carries S, the vertices
 that may still join it, N(S), the vertices of N(S) with two or more
-neighbours in S, |S|, and a need, mask and base (below). A child S + v may
+neighbours in S, and a need, mask and base (below). A child S + v may
 take only the candidates after v that miss N(v), so each stable set is
 reached exactly once and non-stable sets never materialize; the child gets
 N(S) | N(v) and repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children
@@ -70,16 +70,16 @@ with d = k - |S|. Its blocking mask is blk, or 0 when alpha is exact, since
 the accepted set that stored it lies in N[S] with its neighbours.
 
 On a forest psi() does not walk the stable sets. The pruned walk would
-finish, but 10 to 25 times slower: on 2 vCPUs, one run each, the DP
-takes 0.023 s on the 90 benchmark trees with 14-15 vertices, where the
-walk takes 0.21 s, and 0.018 s on a random tree with 28 vertices, where
-the walk takes 0.43 s. In a bipartite graph a stable set S is in Psi iff
-N(S) has a matching into S along S-N(S) edges (Koenig: alpha(N[S]) =
-|N[S]| minus a maximum matching, and a matching of size |N(S)| there
-uses no N(S)-N(S) edge). On a rooted tree the matching can be taken
-leaf-greedy: a vertex outside S matches down to a free child in S
-whenever it has one, since no other vertex can use that child. Each
-vertex then takes one of five states:
+finish, but about 5 to 10 times slower: on 2 vCPUs, three runs each,
+psi() takes 0.032-0.036 s on the 90 benchmark trees with 14-15
+vertices, where the walk takes 0.15-0.20 s, and 0.015-0.028 s on a
+random tree with 28 vertices, where the walk takes 0.14-0.24 s. In a
+bipartite graph a stable set S is in Psi iff N(S) has a matching into S
+along S-N(S) edges (Koenig: alpha(N[S]) = |N[S]| minus a maximum
+matching, and a matching of size |N(S)| there uses no N(S)-N(S) edge).
+On a rooted tree the matching can be taken leaf-greedy: a vertex outside
+S matches down to a free child in S whenever it has one, since no other
+vertex can use that child. Each vertex then takes one of five states:
 
 * IF: in S, no child matched into it;
 * IU: in S, one child matched into it (two are infeasible);
@@ -258,12 +258,12 @@ def omega(g: Graph) -> SetFamily:
 
 
 def _decide_local_max(
-    adj: tuple[int, ...], s: int, k: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]], base: int = 0
+    adj: tuple[int, ...], s: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]], base: int = 0
 ) -> tuple[int, int]:
-    """(-1, 0) when the stable set ``s`` of size ``k`` is maximum within N[S], else (mask, d).
+    """(-1, 0) when the stable set ``s`` is maximum within N[S], else (mask, d).
 
     A reject returns the blocking mask N(T) - N[S] of a stable set T of
-    N[S] with |T| = k + d. ``once`` is N(S) and ``twice`` the vertices of
+    N[S] with |T| = |S| + d. ``once`` is N(S) and ``twice`` the vertices of
     N(S) with at least two neighbours in S. ``base`` is N[A] for a subset A
     of S in Psi, or 0 for A empty: the swap scans only S - A, and the
     search runs on N[S] - N[A] from the floor |S - A|; a larger T' found
@@ -273,6 +273,7 @@ def _decide_local_max(
     T of size a there has blocking mask blk.
     """
     hood = s | once
+    k = s.bit_count()
     known = memo.get(hood)
     if known is not None:
         bound, exact, blk = known
@@ -295,7 +296,8 @@ def _decide_local_max(
                 blk = (nbrs | adj[(other & -other).bit_length() - 1]) & ~hood
                 memo[hood] = (k + 1, False, blk)
                 return blk, 1
-    u = k - (s & base).bit_count()
+    # S is stable and contains A, so S meets N[A] in A alone
+    u = (s & ~base).bit_count()
     a, found = _alpha_masked(adj, hood & ~base, u)
     if a == u:
         memo[hood] = (k, True, 0)
@@ -314,7 +316,7 @@ def _stable_walk(
 ) -> Iterator[int]:
     """Every stable set with at least ``need`` vertices once or, given a memo, those in Psi.
 
-    Each stack entry (S, candidates, N(S), repeats, |S|, need, mask, base)
+    Each stack entry (S, candidates, N(S), repeats, need, mask, base)
     is a stable set with the vertices that may still join it; a child's
     masks are one OR and one AND away from its parent's. The root carries
     ``need`` with the mask of all vertices and base 0. While need is
@@ -331,12 +333,12 @@ def _stable_walk(
     need and keeps its base.
     """
     full = full_mask(len(adj))
-    stack = [(0, full, 0, 0, 0, need, full, 0)]
+    stack = [(0, full, 0, 0, need, full, 0)]
     while stack:
-        s, candidates, once, twice, k, need, mask, base = stack.pop()
+        s, candidates, once, twice, need, mask, base = stack.pop()
         if not need:
             if memo is not None:
-                mask, need = _decide_local_max(adj, s, k, once, twice, memo, base)
+                mask, need = _decide_local_max(adj, s, once, twice, memo, base)
             if not need:
                 yield s
                 mask = candidates
@@ -346,13 +348,12 @@ def _stable_walk(
             if branch.bit_count() < need or need > 1 and _clique_cover_bound(adj, branch) < need:
                 continue
             need -= 1
-        k += 1
         while branch:
             low = branch & -branch
             nbrs = adj[low.bit_length() - 1]
             branch ^= low
             candidates ^= low
-            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), k, need, mask, base))
+            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), need, mask, base))
 
 
 def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool, int]]) -> bool:
@@ -365,7 +366,7 @@ def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool,
         twice |= once & nbrs
         once |= nbrs
         rest ^= low
-    return _decide_local_max(adj, s, s.bit_count(), once, twice, memo)[0] < 0
+    return _decide_local_max(adj, s, once, twice, memo)[0] < 0
 
 
 def is_local_max_stable(g: Graph, s: int) -> bool:

@@ -333,6 +333,14 @@ def test_gen_bad_expression(capsys):
         assert code == 2 and "bad generator expression" in err, expr
 
 
+@pytest.mark.parametrize("expr", ["path:3_0", "path:+3", "path:\u0663", "gnp:1_0:1/2", "cycle: 5"])
+def test_gen_size_is_ascii_decimal_digits(capsys, expr):
+    # int() alone reads each of these as a count, so path:3_0 would build path:30
+    code, out, err = run_cli(capsys, "gen", expr)
+    assert code == 2 and out == ""
+    assert "bad generator expression" in err and "decimal digits" in err
+
+
 @pytest.mark.parametrize("expr", [
     f"{kind}:{MAX_EDGE_LIST_VERTICES + 1}" for kind in ("complete", "path", "cycle", "edgeless", "tree")
 ] + [f"gnp:{MAX_EDGE_LIST_VERTICES + 1}:1/2", "path:1000000000000"])

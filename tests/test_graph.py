@@ -28,6 +28,7 @@ from lmss.graph import (
     labeled_trees,
     named_fixture,
     open_neighborhood,
+    parse_count,
     parse_edge_list_text,
     parse_vertex_set,
     path,
@@ -255,6 +256,21 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list_text("n \u00b2")  # a digit that is not a decimal
     with pytest.raises(EdgeListError, match="too large"):
         parse_edge_list_text("n " + "9" * 5000)
+
+
+def test_edge_list_counts_and_endpoints_are_ascii_decimal_digits():
+    # int() alone reads "+3", "3_0" and "\u0663" (Arabic-Indic three) as numbers
+    for count in ("+3", "3_0", "\u0663", "-0"):
+        with pytest.raises(EdgeListError, match=r"expected header.*\(line 1\)"):
+            parse_edge_list_text(f"n {count}\n0 1\n")
+    for pair in ("0 1_0", "0 +1", "\u0660 1", "-0 1"):
+        with pytest.raises(EdgeListError, match=r"non-decimal endpoint.*\(line 3\)"):
+            parse_edge_list_text(f"n 11\n2 3\n{pair}\n")
+    with pytest.raises(EdgeListError, match=r"out of range in \(0,0011\) \(line 2\)"):
+        parse_edge_list_text("n 11\n0 0011\n")
+    assert parse_edge_list_text("n 0004\n00 01\n1 2\n002 3\n") == path(4)
+    assert parse_count("0" * 5000 + "7") == 7
+    assert parse_count("9" * 5000) == MAX_EDGE_LIST_VERTICES + 1
 
 
 def test_edge_list_vertex_count_is_bounded():

@@ -1,7 +1,11 @@
 """Stability computations against the independent brute-force oracles."""
 
+import faulthandler
+import functools
 import inspect
+import signal
 import sys
+import time
 from itertools import islice
 
 import pytest
@@ -51,6 +55,45 @@ W = named_fixture("W_FIG1")
 
 def wset(text):
     return parse_vertex_set(text, W)
+
+
+def _time_limited(seconds):
+    """Fail the test once it has run ``seconds``, so a weakened prune fails it instead of hanging.
+
+    The limit is a real-time interval timer; the previous SIGALRM handler
+    and timer are restored afterwards. A signal handler runs only between
+    bytecodes, not inside one long C call such as a sort of millions of
+    members, so a faulthandler watchdog thread also ends the whole run,
+    with exit status 1, at twice the limit. Without setitimer the test
+    runs unlimited.
+    """
+
+    def wrap(test):
+        if not hasattr(signal, "setitimer"):
+            return test
+
+        def expire(signum, frame):
+            pytest.fail(f"{test.__name__} ran longer than its {seconds} s limit", pytrace=False)
+
+        @functools.wraps(test)
+        def limited(*args, **kwargs):
+            handler = signal.signal(signal.SIGALRM, expire)
+            start = time.monotonic()
+            delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+            faulthandler.dump_traceback_later(2 * seconds, exit=True)
+            try:
+                return test(*args, **kwargs)
+            finally:
+                faulthandler.cancel_dump_traceback_later()
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, handler)
+                if delay:
+                    # a timer that ran out meanwhile fires at once
+                    signal.setitimer(signal.ITIMER_REAL, max(delay - (time.monotonic() - start), 1e-6), interval)
+
+        return limited
+
+    return wrap
 
 
 def test_is_stable_facts():
@@ -253,9 +296,9 @@ def test_search_skips_the_accepted_ancestors_hood(monkeypatch):
         return search(adj, avail, floor)
 
     monkeypatch.setattr(stable, "_alpha_masked", counted)
-    assert stable._decide_local_max(g.adj, s, 3, once, twice, {}, 0b100000) == (0, 1)
+    assert stable._decide_local_max(g.adj, s, once, twice, {}, 0b100000) == (0, 1)
     assert searches == [(0b11111, 2)]
-    assert stable._decide_local_max(g.adj, s, 3, once, twice, {}, 0) == (0, 1)
+    assert stable._decide_local_max(g.adj, s, once, twice, {}, 0) == (0, 1)
     assert searches == [(0b11111, 2), (0b111111, 3)]
 
 
@@ -286,6 +329,7 @@ def test_omega_matches_naive(g):
     assert set(omega(g).members) == brute_omega(g)
 
 
+@_time_limited(60)
 def test_omega_anchors_beyond_the_stream():
     # path:40 has about 2.7e8 stable sets; the clique-cover bound skips them
     assert len(omega(path(40))) == 21
@@ -407,9 +451,8 @@ def test_walk_matches_stream_filter(g):
     # blk, and blk misses N[S]. Each set carries N[A] for its nearest
     # accepted ancestor A, or 0 at the root
     ancestors = []
-    for _, s, k, once, twice, _, base, (blk, d) in decisions:
+    for _, s, once, twice, _, base, (blk, d) in decisions:
         counts = [(row & s).bit_count() for row in g.adj]
-        assert k == s.bit_count()
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
         assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
         assert (blk, d) == (-1, 0) or d >= 1 and blk >= 0 and blk & (s | once) == 0
@@ -417,7 +460,7 @@ def test_walk_matches_stream_filter(g):
             ancestors.pop()
         accepted = [a for a, a_blk, _ in ancestors if a_blk < 0]
         assert base == (brute_closed_neighborhood(g, accepted[-1]) if accepted else 0)
-        if k:
+        if s:
             parent, parent_blk, parent_d = ancestors[-1]
             added = s & ~parent
             assert s & parent == parent and added.bit_count() == max(parent_d, 1)
@@ -444,10 +487,10 @@ def test_rejections_return_a_blocking_mask(g):
     # more vertices than S
     closed = [(t, brute_closed_neighborhood(g, t)) for t in brute_stable_sets(g)]
     _, decisions = _psi_walked(g)
-    for _, s, k, once, _, _, _, (blk, d) in decisions:
+    for _, s, once, _, _, _, (blk, d) in decisions:
         if blk >= 0:
             hood = s | once
-            assert any(t & ~hood == 0 and t.bit_count() == k + d and nt & ~hood == blk for t, nt in closed)
+            assert any(t & ~hood == 0 and t.bit_count() == s.bit_count() + d and nt & ~hood == blk for t, nt in closed)
 
 
 @given(st.one_of(graphs(max_n=10), graphs_with_a_cycle(max_n=10)))
@@ -514,6 +557,7 @@ def test_carried_walk_matches_naive_on_bipartite_graphs(g):
 
 
 @pytest.mark.parametrize("g", [_grid(6, 6), _hypercube(5)], ids=["grid6x6", "Q5"])
+@_time_limited(60)
 def test_bipartite_anchors(g):
     # Psi holds only the empty set and the two colour classes
     side = {0: 0}
@@ -546,6 +590,7 @@ def test_psi_of_cycles_and_paths_matches_naive(g):
     assert set(psi(g).members) == brute_psi(g)
 
 
+@_time_limited(60)
 def test_sparse_anchors_beyond_the_stream():
     # cycle:60 has about 3.5e12 stable sets and C3 + P37 about 2.5e8
     assert len(psi(cycle(60))) == 3
@@ -561,6 +606,7 @@ def test_sparse_anchors_beyond_the_stream():
 
 
 @pytest.mark.parametrize("n,p,members", [(32, 20, 41), (40, 30, 69)])
+@_time_limited(60)
 def test_walk_anchors(n, p, members):
     g = random_graph(n, p, 100, 0)
     fam = psi(g)
@@ -568,6 +614,7 @@ def test_walk_anchors(n, p, members):
     assert fam == _stream_filter(g)
 
 
+@_time_limited(60)
 def test_forest_anchors_beyond_the_stream():
     # path:40 has about 2.7e8 stable sets and the tree about 1.3e6
     assert len(psi(path(40))) == 231
