@@ -153,9 +153,21 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gen", metavar="EXPR", help="generator expression")
 
 
+def _decimal(text: str) -> int:
+    """An integer flag's value: an optional leading "-", then ASCII decimal digits only.
+
+    int() alone also reads "+", "_" between digits, whitespace and non-ASCII
+    digits; the sign is kept so that a negative value reaches the range checks.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not ASCII decimal digits: {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
+    p.add_argument("--seed", type=_decimal, default=0, help="stream seed (default 0)")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -344,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", metavar="THEOREM", help=", ".join(THEOREM_IDS))
     p.add_argument("inputs", nargs="*", metavar="SPEC",
                    help="explicit instance; omit to run a seeded sweep")
-    p.add_argument("--sweep", type=int, metavar="N",
+    p.add_argument("--sweep", type=_decimal, metavar="N",
                    help=f"max composite size for sweep instances (default {SWEEP_MAX_SIZE}; "
                         "at least 4 for the part and corona theorems, 6 for COR_CORONA)")
-    p.add_argument("--count", type=int, metavar="K",
+    p.add_argument("--count", type=_decimal, metavar="K",
                    help=f"number of sweep instances (default {SWEEP_COUNT}; "
                         "not with --exhaustive)")
     p.add_argument("--exhaustive", action="store_true",
@@ -357,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit generators or fixtures as graph6")
     p.add_argument("expr", metavar="EXPR", help="generator expression or fixture name")
-    p.add_argument("--count", type=int, default=1, metavar="K",
+    p.add_argument("--count", type=_decimal, default=1, metavar="K",
                    help="emit K seeded variants (default 1)")
     _add_common(p)
     p.set_defaults(fn=cmd_gen)

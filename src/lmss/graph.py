@@ -310,7 +310,10 @@ def parse_edge_list_text(text: str) -> Graph:
 # -- vertex-set text syntax ---------------------------------------------------
 
 def parse_vertex_set(text: str, g: Graph) -> int:
-    """Parse "{0,2,5}" or fixture letters like "{e,g}" into a bitmask."""
+    """Parse "{0,2,5}" or fixture letters like "{e,g}" into a bitmask.
+
+    A vertex index is ASCII decimal digits only, as in ``parse_count``.
+    """
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise ValueError(f"vertex set must be written in braces: {text!r}")
@@ -325,12 +328,16 @@ def parse_vertex_set(text: str, g: Graph) -> int:
         token = token.strip()
         if token in by_label:
             v = by_label[token]
+        elif token.isascii() and token.isdigit():
+            # exact past MAX_EDGE_LIST_VERTICES, since graph6 input may be larger;
+            # a token with more digits than g.n is out of range and not read
+            digits = token.lstrip("0") or "0"
+            if len(digits) > len(str(g.n)):
+                raise ValueError(f"vertex index of {len(digits)} digits outside 0..{g.n - 1}")
+            v = int(digits)
         else:
-            try:
-                v = int(token)
-            except ValueError:
-                raise ValueError(f"unknown vertex {token!r}") from None
-        if not 0 <= v < g.n:
+            raise ValueError(f"unknown vertex {token!r}")
+        if v >= g.n:
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
         mask |= 1 << v
     return mask

@@ -21,9 +21,10 @@ follows no canonical order. The root carries a starting need k with the
 mask of all vertices, so the walk yields exactly the stable sets with at
 least k vertices: enumerate_stable_sets() starts from need 0 and omega()
 from need alpha. Given a memo, as psi() gives it, the walk keeps only the
-sets that pass the local-maximum test, which is_local_max_stable() shares
-(building the masks from S). The test decides whether alpha(N[S]) exceeds
-|S| without computing alpha(N[S]):
+sets that pass its local-maximum test. is_local_max_stable() is the
+definition, a plain search on N[S] floored at |S|, and the reference the
+walk's shortcuts below are tested against. The walk's test decides
+whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
@@ -101,7 +102,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bitset import bits, full_mask
-from .graph import Graph
+from .graph import Graph, closed_neighborhood
 
 
 class SetFamily:
@@ -258,7 +259,7 @@ def omega(g: Graph) -> SetFamily:
 
 
 def _decide_local_max(
-    adj: tuple[int, ...], s: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]], base: int = 0
+    adj: tuple[int, ...], s: int, once: int, twice: int, memo: dict[int, tuple[int, bool, int]], base: int
 ) -> tuple[int, int]:
     """(-1, 0) when the stable set ``s`` is maximum within N[S], else (mask, d).
 
@@ -356,26 +357,17 @@ def _stable_walk(
             stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), need, mask, base))
 
 
-def _is_local_max(adj: tuple[int, ...], s: int, memo: dict[int, tuple[int, bool, int]]) -> bool:
-    """_decide_local_max() for ``s``, with N(S) and its repeats built here."""
-    once = twice = 0
-    rest = s
-    while rest:
-        low = rest & -rest
-        nbrs = adj[low.bit_length() - 1]
-        twice |= once & nbrs
-        once |= nbrs
-        rest ^= low
-    return _decide_local_max(adj, s, once, twice, memo)[0] < 0
-
-
 def is_local_max_stable(g: Graph, s: int) -> bool:
     """True iff ``s`` is stable and maximum within its closed neighborhood.
 
+    This is the definition of Psi, stated directly: the plain search on
+    N[S], floored at |S|, finds no larger stable set. It is the reference
+    that the psi walk's memo, swap and narrowed search are tested against.
     The empty set qualifies: its closed neighborhood induces the empty
     graph, whose stability number is 0.
     """
-    return is_stable(g, s) and _is_local_max(g.adj, s, {})
+    k = s.bit_count()
+    return is_stable(g, s) and _alpha_masked(g.adj, closed_neighborhood(g, s), k)[0] == k
 
 
 def _product(xs: list[int], ys: list[int]) -> list[int]:

@@ -146,6 +146,35 @@ def test_chain_parse_error_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "9" * 5000])
+def test_chain_vertex_index_is_ascii_decimal_digits(capsys, token):
+    # int() alone reads {1_0} as vertex 10, which path:12 has
+    code, out, err = run_cli(capsys, "chain", "--gen", "path:12", "{" + token + "}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "T1_NT", "--sweep", "1_0"],
+    ["verify", "T1_NT", "--sweep", "\u0663", "--count", "+2"],
+    ["verify", "T1_NT", "--count", " 2"],
+    ["gen", "path:3", "--count", "+2"],
+    ["psi", "--gen", "path:3", "--seed", "1_0"],
+])
+def test_integer_flags_are_ascii_decimal_digits(capsys, argv):
+    # int() alone reads each of these, so --sweep 1_0 would sweep size 10
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_integer_flags_keep_a_leading_minus(capsys):
+    code, out, err = run_cli(capsys, "gen", "path:3", "--count", "-2")
+    assert code == 2 and out == "" and "--count must be positive" in err
+    assert run_cli(capsys, "gen", "gnp:5:1/2", "--seed", "-7")[0] == 0
+
+
 def test_compose_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "compose", "zykov", "gen:complete:2", "gen:path:3", "--format", "json"

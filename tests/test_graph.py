@@ -322,5 +322,23 @@ def test_vertex_set_syntax():
         parse_vertex_set("{9}", w)
 
 
+@pytest.mark.parametrize("text", ["{1_0}", "{+1}", "{\u0663}", "{ 1 2 }", "{-1}"])
+def test_vertex_index_is_ascii_decimal_digits(text):
+    # int() alone reads each of the first three, so {1_0} would be vertex 10
+    with pytest.raises(ValueError, match="unknown vertex"):
+        parse_vertex_set(text, path(12))
+
+
+def test_vertex_index_is_exact_past_the_edge_list_bound():
+    # graph6 input may have more vertices than an edge list or a generator
+    assert parse_vertex_set("{70000}", edgeless(70001)) == 1 << 70000
+    assert parse_vertex_set("{0070000}", edgeless(70001)) == 1 << 70000
+    with pytest.raises(ValueError, match="outside 0..70000"):
+        parse_vertex_set("{70001}", edgeless(70001))
+    # more digits than int() reads in one go: out of range, and not read
+    with pytest.raises(ValueError, match="outside 0..11"):
+        parse_vertex_set("{" + "9" * 5000 + "}", path(12))
+
+
 def test_edges_iterator():
     assert list(edges(path(3))) == [(0, 1), (1, 2)]

@@ -252,10 +252,12 @@ def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
 
     monkeypatch.setattr(stable, "_alpha_masked", counted)
     memo = {}
-    assert not stable._is_local_max(star.adj, 0b001, memo)
+    # S = {0}: N(S) = {1, 2}, neither with two neighbours in S
+    assert stable._decide_local_max(star.adj, 0b001, 0b110, 0, memo, 0) == (0, 1)
     assert searches == []  # leaves 1 and 2 are private to 0 and non-adjacent
     assert memo == {0b111: (2, False, 0)}
-    assert stable._is_local_max(star.adj, 0b110, memo)
+    # S = {1, 2}: N(S) = {0}, a neighbour of both
+    assert stable._decide_local_max(star.adj, 0b110, 0b001, 0b001, memo, 0) == (-1, 0)
     assert searches == [(0b111, 2)]
     assert memo == {0b111: (2, True, 0)}
     assert psi(star).members == (0, 0b010, 0b100, 0b110)
@@ -274,10 +276,11 @@ def test_floored_search_reject_then_exact_memo(monkeypatch):
 
     monkeypatch.setattr(stable, "_alpha_masked", counted)
     memo = {}
-    assert not stable._is_local_max(k23.adj, 0b00011, memo)
+    # each vertex of N(S) has two or more neighbours in S
+    assert stable._decide_local_max(k23.adj, 0b00011, 0b11100, 0b11100, memo, 0) == (0, 1)
     assert searches == [(0b11111, 2)]  # it stops at {2, 3, 4}
     assert memo == {0b11111: (3, False, 0)}
-    assert stable._is_local_max(k23.adj, 0b11100, memo)
+    assert stable._decide_local_max(k23.adj, 0b11100, 0b00011, 0b00011, memo, 0) == (-1, 0)
     assert searches == [(0b11111, 2), (0b11111, 3)]
     assert memo == {0b11111: (3, True, 0)}
     assert psi(k23).members == (0, 0b01100, 0b10100, 0b11000, 0b11100)
@@ -375,9 +378,22 @@ def _psi_walked(g):
 
 
 def _stream_filter(g):
-    """Psi of ``g`` from the stable-set stream, decided with one memo per graph."""
+    """Psi of ``g`` from the stable-set stream, decided with one memo per graph.
+
+    Each set goes through the walk's decision, with N(S) and its repeats
+    built from S and no accepted ancestor: the plain search of
+    is_local_max_stable() is several times slower on the anchors below.
+    """
     memo = {}
-    return SetFamily(g.n, (s for s in enumerate_stable_sets(g) if stable._is_local_max(g.adj, s, memo)))
+
+    def kept(s):
+        once = twice = 0
+        for v in bits(s):
+            twice |= once & g.adj[v]
+            once |= g.adj[v]
+        return stable._decide_local_max(g.adj, s, once, twice, memo, 0)[0] < 0
+
+    return SetFamily(g.n, filter(kept, enumerate_stable_sets(g)))
 
 
 @given(forests(max_n=12))
@@ -452,6 +468,8 @@ def test_walk_matches_stream_filter(g):
     # accepted ancestor A, or 0 at the root
     ancestors = []
     for _, s, once, twice, _, base, (blk, d) in decisions:
+        # every decision agrees with the definition of Psi
+        assert (d == 0) == is_local_max_stable(g, s)
         counts = [(row & s).bit_count() for row in g.adj]
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
         assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
