@@ -9,8 +9,10 @@ Single-graph commands take one of --fixture, --graph6, --file, --gen.
 Multi-graph commands (compose, verify) take ordered positional specs
 written fixture:NAME, g6:STRING, file:PATH or gen:EXPR. Generator
 expressions: complete:N, path:N, cycle:N, edgeless:N, tree:N, gnp:N:P,
-with 0 <= N <= 65536. The seeded kinds (tree, gnp) draw from --seed,
-default 0.
+with 0 <= N <= 65536 and P in [0, 1] written NUM/DEN, INT.FRAC or INT.
+The seeded kinds (tree, gnp) draw from --seed, default 0. Every number is
+ASCII decimal digits; an integer flag may start with "-" and has at most
+the value 2**64 - 1, as has each run of digits in P.
 """
 
 from __future__ import annotations
@@ -91,15 +93,20 @@ def _parse_gen_expr(expr: str, seed: int) -> Graph:
             raise ValueError(f"vertex count must be in 0..{G.MAX_EDGE_LIST_VERTICES} in decimal digits, "
                              f"got {params[0]!r}")
         if kind == "gnp":
-            p = Fraction(params[1])
-            if not 0 <= p <= 1:
-                raise ValueError("edge probability must be in [0, 1]")
+            # INT.FRAC is INTFRAC/10**len(FRAC); each run, and that power of ten, is read up to
+            # _U64_MAX, so no exponent, sign, underscore, space, empty or long run reaches Fraction
+            whole, point, frac = params[1].partition(".")
+            num, slash, den = ((whole and frac and whole + frac, point, "1" + "0" * len(frac)) if point
+                               else params[1].partition("/"))
+            num, den = (G.parse_count(run, _U64_MAX) for run in (num, den if slash else "1"))
+            if None in (num, den) or not 0 < den <= _U64_MAX or num > den:
+                raise ValueError(f"edge probability must be NUM/DEN, INT.FRAC or INT in [0, 1], "
+                                 f"each run ASCII decimal digits up to {_U64_MAX}")
+            p = Fraction(num, den)
             return G.random_graph(n, p.numerator, p.denominator, seed)
         if kind == "tree":
             return G.random_tree(n, seed)
         return _GEN_ONE_PARAM[kind](n)
-    except ZeroDivisionError:
-        raise ValueError(f"bad generator expression {expr!r}: zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"bad generator expression {expr!r}: {exc}") from None
 
@@ -153,16 +160,17 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gen", metavar="EXPR", help="generator expression")
 
 
-def _decimal(text: str) -> int:
-    """An integer flag's value: an optional leading "-", then ASCII decimal digits only.
+# seeds are read mod 2**64, P is compared with a 64-bit draw, no larger --sweep or --count ends
+_U64_MAX = (1 << 64) - 1
 
-    int() alone also reads "+", "_" between digits, whitespace and non-ASCII
-    digits; the sign is kept so that a negative value reaches the range checks.
-    """
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"not ASCII decimal digits: {text!r}")
-    return int(text)
+
+def _decimal(text: str) -> int:
+    """An integer flag's value: an optional leading "-" (kept, so that a range
+    check sees it), then ASCII decimal digits up to ``_U64_MAX``."""
+    value = G.parse_count(text.removeprefix("-"), _U64_MAX)
+    if value is None or value > _U64_MAX:
+        raise argparse.ArgumentTypeError(f"not ASCII decimal digits up to {_U64_MAX}: {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -254,21 +254,20 @@ def parse_graph6(data: bytes | str) -> Graph:
 MAX_EDGE_LIST_VERTICES = 1 << 16
 
 
-def parse_count(token: str) -> int | None:
-    """``token`` as a count or vertex index, or None unless it is ASCII decimal digits only.
+def parse_count(token: str, limit: int = MAX_EDGE_LIST_VERTICES) -> int | None:
+    """``token`` as a count, index or flag value, or None unless it is ASCII decimal digits only.
 
     int() alone also reads a sign, underscores between digits, surrounding
     whitespace and non-ASCII digits, so "+3", "3_0" and "\u0663" would pass.
-    ``MAX_EDGE_LIST_VERTICES`` bounds every count read from text, so a
-    larger value comes back as ``MAX_EDGE_LIST_VERTICES + 1`` and no token
-    is too long to read.
+    A value above ``limit`` comes back as ``limit + 1``, and a token with more
+    digits than ``limit`` has is never passed to int(), so none is too long.
     """
     if not (token.isascii() and token.isdigit()):
         return None
     digits = token.lstrip("0")
-    if len(digits) > len(str(MAX_EDGE_LIST_VERTICES)):
-        return MAX_EDGE_LIST_VERTICES + 1
-    return min(int(digits or "0"), MAX_EDGE_LIST_VERTICES + 1)
+    if len(digits) > len(str(limit)):
+        return limit + 1
+    return min(int(digits or "0"), limit + 1)
 
 
 def parse_edge_list_text(text: str) -> Graph:
@@ -312,7 +311,8 @@ def parse_edge_list_text(text: str) -> Graph:
 def parse_vertex_set(text: str, g: Graph) -> int:
     """Parse "{0,2,5}" or fixture letters like "{e,g}" into a bitmask.
 
-    A vertex index is ASCII decimal digits only, as in ``parse_count``.
+    A vertex index is read by ``parse_count`` up to ``g.n - 1``, so it is exact
+    past ``MAX_EDGE_LIST_VERTICES`` for graph6 input.
     """
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
@@ -326,19 +326,11 @@ def parse_vertex_set(text: str, g: Graph) -> int:
     mask = 0
     for token in inner.split(","):
         token = token.strip()
-        if token in by_label:
-            v = by_label[token]
-        elif token.isascii() and token.isdigit():
-            # exact past MAX_EDGE_LIST_VERTICES, since graph6 input may be larger;
-            # a token with more digits than g.n is out of range and not read
-            digits = token.lstrip("0") or "0"
-            if len(digits) > len(str(g.n)):
-                raise ValueError(f"vertex index of {len(digits)} digits outside 0..{g.n - 1}")
-            v = int(digits)
-        else:
+        v = by_label[token] if token in by_label else parse_count(token, g.n - 1)
+        if v is None:
             raise ValueError(f"unknown vertex {token!r}")
         if v >= g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+            raise ValueError(f"vertex {token} outside 0..{g.n - 1}")
         mask |= 1 << v
     return mask
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -154,25 +155,38 @@ def test_chain_vertex_index_is_ascii_decimal_digits(capsys, token):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_FLAGS = ("--seed", "--sweep", "--count")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "T1_NT", "--sweep", "1_0"],
     ["verify", "T1_NT", "--sweep", "\u0663", "--count", "+2"],
     ["verify", "T1_NT", "--count", " 2"],
     ["gen", "path:3", "--count", "+2"],
     ["psi", "--gen", "path:3", "--seed", "1_0"],
+] + [
+    # past 2**64 - 1: the first is too long for int() under its digit limit
+    ["verify", "T1_NT", flag, value]
+    for value in ("9" * 5000, str(1 << 64), "-" + "9" * 5000) for flag in _FLAGS
 ])
 def test_integer_flags_are_ascii_decimal_digits(capsys, argv):
-    # int() alone reads each of these, so --sweep 1_0 would sweep size 10
+    # int() alone reads the first five, so --sweep 1_0 would sweep size 10
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    flag = next(a for a in argv if a in _FLAGS)
+    assert f"argument {flag}: " in err and "_decimal" not in err
 
 
 def test_integer_flags_keep_a_leading_minus(capsys):
     code, out, err = run_cli(capsys, "gen", "path:3", "--count", "-2")
     assert code == 2 and out == "" and "--count must be positive" in err
     assert run_cli(capsys, "gen", "gnp:5:1/2", "--seed", "-7")[0] == 0
+    # the largest value a flag takes; the seed is read mod 2**64
+    code, out, _ = run_cli(capsys, "gen", "gnp:9:1/2", "--seed", str((1 << 64) - 1))
+    assert code == 0 and parse_graph6(out.strip()) == random_graph(9, 1, 2, (1 << 64) - 1)
 
 
 def test_compose_matches_library(capsys):
@@ -360,6 +374,29 @@ def test_gen_bad_expression(capsys):
     for expr in ("gnp:5:1/0", "gnp:5:0/0", "edgeless:-1", "gnp:-3:0.5"):
         code, _, err = run_cli(capsys, "psi", "--gen", expr)
         assert code == 2 and "bad generator expression" in err, expr
+
+
+# the probability forms the docs and tests use, pinned to the graph6 they gave
+# when gnp's P was read by Fraction alone
+@pytest.mark.parametrize("p, graph6", [
+    ("0.2", "I@QA?O???"), ("0.25", r"I?ag_hC\W"), ("0.3", "IO~yA@?@?"),
+    ("1/2", r"IA}mkhD\W"), ("1", "I~~~~~~~w"), ("0", "I????????"),
+])
+def test_gen_probability_forms(capsys, p, graph6):
+    assert run_cli(capsys, "gen", f"gnp:10:{p}", "--seed", "3") == (0, graph6 + "\n", "")
+
+
+@pytest.mark.parametrize("p", [
+    "1e-30000000", "1e-2", "1_0/20", "\u0663/4", " 1/2", "+1/2", ".5", "1.", "1/", "1/2/3",
+    "1/" + str(1 << 64), "0." + "0" * 19 + "1",
+])
+def test_gen_probability_is_ascii_decimal_digits(capsys, p):
+    # Fraction alone reads every one but "1/" and "1/2/3" ("1_0/20" from 3.11 on),
+    # and spent about 44 s building a graph from 1e-30000000
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "gen", f"gnp:5:{p}")
+    assert code == 2 and out == "" and "edge probability must be NUM/DEN" in err
+    assert time.monotonic() - start < 5
 
 
 @pytest.mark.parametrize("expr", ["path:3_0", "path:+3", "path:\u0663", "gnp:1_0:1/2", "cycle: 5"])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from _strategies import forests, graphs, trees
 from lmss import stable
 from lmss.bitset import bits
@@ -64,8 +65,9 @@ def _time_limited(seconds):
     and timer are restored afterwards. A signal handler runs only between
     bytecodes, not inside one long C call such as a sort of millions of
     members, so a faulthandler watchdog thread also ends the whole run,
-    with exit status 1, at twice the limit. Without setitimer the test
-    runs unlimited.
+    with exit status 1, at twice the limit. It writes its traceback to
+    ``conftest.stderr_fd``, since pytest's capture file is lost then.
+    Without setitimer the test runs unlimited.
     """
 
     def wrap(test):
@@ -80,7 +82,7 @@ def _time_limited(seconds):
             handler = signal.signal(signal.SIGALRM, expire)
             start = time.monotonic()
             delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
-            faulthandler.dump_traceback_later(2 * seconds, exit=True)
+            faulthandler.dump_traceback_later(2 * seconds, exit=True, file=conftest.stderr_fd)
             try:
                 return test(*args, **kwargs)
             finally:
