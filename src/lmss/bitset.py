@@ -6,7 +6,7 @@ unbounded, so masks work for any vertex count and are safe to share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -15,13 +15,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def from_iter(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def full_mask(n: int) -> int:

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import graph6
-from .bitset import bits, from_iter, full_mask
+from .bitset import bits, full_mask
 from .rng import SplitMix64
 
 
@@ -90,14 +90,6 @@ def edge_count(g: Graph) -> int:
 
 # -- neighborhood algebra ---------------------------------------------------
 
-def open_neighborhood(g: Graph, a: int) -> int:
-    """N(A): vertices outside A with a neighbor in A."""
-    out = 0
-    for v in bits(a):
-        out |= g.adj[v]
-    return out & ~a
-
-
 def closed_neighborhood(g: Graph, a: int) -> int:
     """N[A] = A together with every vertex adjacent to A."""
     out = a
@@ -147,11 +139,6 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and edge_count(g) == g.n - 1 and is_connected(g)
 
 
-def pendant_vertices(g: Graph) -> int:
-    """Bitmask of the degree-1 vertices."""
-    return from_iter(v for v in range(g.n) if g.degree(v) == 1)
-
-
 # -- generators ---------------------------------------------------------------
 
 def edgeless(n: int) -> Graph:
@@ -173,11 +160,6 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complement(g: Graph) -> Graph:
-    fm = full_mask(g.n)
-    return Graph(g.n, tuple((fm ^ (1 << v)) & ~g.adj[v] for v in range(g.n)), g.labels)
 
 
 def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:

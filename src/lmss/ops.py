@@ -31,18 +31,10 @@ class CompositeGraph:
     index_in_part: tuple[int, ...]
     host_vertices: int = 0
 
-    def part_mask(self, i: int) -> int:
-        self._check_index(i)
-        return full_mask(self.operands[i].n) << self.offsets[i]
-
     def restrict(self, s: int, i: int) -> int:
         """S intersected with operand i, expressed in operand coordinates."""
         self._check_index(i)
         return (s >> self.offsets[i]) & full_mask(self.operands[i].n)
-
-    def restrict_host(self, s: int) -> int:
-        """S intersected with the host vertices, in host coordinates."""
-        return s & self.host_vertices  # the host is laid out first
 
     def lift(self, m: int, i: int) -> int:
         """An operand-i vertex set expressed in composite coordinates."""

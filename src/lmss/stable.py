@@ -147,9 +147,6 @@ class SetFamily:
     def __repr__(self) -> str:
         return f"SetFamily(universe={self.universe}, size={len(self.members)})"
 
-    def by_size(self, k: int) -> list[int]:
-        return [m for m in self.members if m.bit_count() == k]
-
 
 def is_stable(g: Graph, s: int) -> bool:
     """True iff no edge joins two vertices of ``s``."""

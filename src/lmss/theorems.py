@@ -40,7 +40,6 @@ from .stable import (
     SetFamily,
     alpha,
     enumerate_stable_sets,
-    is_stable,
     min_nonempty_size,
     omega,
     psi,
@@ -214,21 +213,6 @@ def _corona_failure(c: CompositeGraph, x: Graph, part_fams: list[SetFamily],
                 return {"part": "ii", "host_vertex": vi,
                         "reason": f"no intersection with part {vk}"}
     return None
-
-
-def corona_psi_characterization(x: Graph, hs: list[Graph], s: int) -> bool:
-    """Structural membership test for a vertex set of the corona of x and hs.
-
-    True iff s is stable, each part intersection lies in the part's own
-    family, and every host vertex of s has a complete private graph and a
-    nonempty intersection with each neighboring private graph. For hosts
-    with 2+ vertices this coincides with membership in the corona's family.
-    """
-    if x.n < 2:
-        raise ValueError("characterization needs a host with at least 2 vertices")
-    c = corona(x, hs)
-    return is_stable(c.graph, s) and _corona_failure(
-        c, x, [psi(h) for h in hs], [is_complete(h) for h in hs], s) is None
 
 
 def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> TheoremReport:
@@ -502,5 +486,5 @@ def sweep(theorem: str, *, max_size: int = SWEEP_MAX_SIZE, count: int = SWEEP_CO
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rand = SplitMix64(seed)
-    seeds = [rand.next_u64() for _ in range(count)]
+    seeds = (rand.next_u64() for _ in range(count))
     return [run_on_instance(theorem, random_instance(theorem, max_size, s), s) for s in seeds]

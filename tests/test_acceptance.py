@@ -111,8 +111,9 @@ def test_criterion_3_figure4_zykov_fixtures():
     verdict = is_greedoid(fam2)
     if verdict.status != ACCESSIBILITY_FAIL:
         failures.append(f"Z[P3,P3] verdict {verdict.status}")
-    if fam2.by_size(1):
-        failures.append(f"Z[P3,P3] family contains singletons {fam2.by_size(1)}")
+    singletons = [m for m in fam2 if m.bit_count() == 1]
+    if singletons:
+        failures.append(f"Z[P3,P3] family contains singletons {singletons}")
     conclude(3, "figure 4 verdicts: Z[K2,P3] greedoid, Z[P3,P3] fails accessibility", failures)
 
 

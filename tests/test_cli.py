@@ -295,6 +295,8 @@ def test_verify_t1_exhaustive_at_the_corpus_bound(capsys):
                  "host has 2 vertices but 1 satellites given", id="T_CORONA"),
     pytest.param("COR_CORONA", ["gen:path:2", "gen:path:2", "gen:path:2"],
                  "COR_CORONA takes a host and one satellite graph", id="COR_CORONA"),
+    pytest.param("L3_CORONA", ["gen:complete:1", "gen:path:2"],
+                 "lemma requires a host with at least 2 vertices", id="L3_CORONA"),
 ])
 def test_verify_wrong_arity_exits_2(capsys, theorem, specs, message):
     code, _, err = run_cli(capsys, "verify", theorem, *specs)

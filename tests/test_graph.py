@@ -13,7 +13,6 @@ from lmss.graph import (
     EdgeListError,
     Graph,
     closed_neighborhood,
-    complement,
     complete,
     cycle,
     edge_count,
@@ -27,12 +26,10 @@ from lmss.graph import (
     is_tree,
     labeled_trees,
     named_fixture,
-    open_neighborhood,
     parse_count,
     parse_edge_list_text,
     parse_vertex_set,
     path,
-    pendant_vertices,
     random_graph,
     random_tree,
     tree_from_pruefer,
@@ -106,8 +103,8 @@ def test_closed_neighborhood_properties(g):
     mask = random.Random(g.n * 7919 + edge_count(g)).getrandbits(g.n) if g.n else 0
     closed = closed_neighborhood(g, mask)
     assert closed & mask == mask
-    assert closed == mask | open_neighborhood(g, mask)
-    assert open_neighborhood(g, mask) & mask == 0
+    for v in range(g.n):
+        assert bool(closed >> v & 1) == bool(mask >> v & 1 or g.adj[v] & mask)
 
 
 def test_induced_w_five_cycle():
@@ -131,19 +128,12 @@ def test_induced_p4_prefix_is_p3():
 def test_generators():
     c4 = cycle(4)
     assert c4.n == 4 and edge_count(c4) == 4
-    assert complement(complete(5)) == edgeless(5)
+    assert edge_count(complete(5)) == 10
     assert path(1) == edgeless(1)
     with pytest.raises(ValueError):
         cycle(2)
     with pytest.raises(ValueError):
         path(0)
-
-
-@given(graphs())
-@settings(max_examples=60)
-def test_complement_involution(g):
-    assert complement(complement(g)) == g
-    validate(complement(g))
 
 
 def test_is_complete():
@@ -193,12 +183,6 @@ def test_random_graph_deterministic():
     g = random_graph(12, 30, 100, 7)
     assert g == random_graph(12, 30, 100, 7)
     validate(g)
-
-
-def test_pendant_vertices():
-    w = named_fixture("W_FIG1")
-    assert pendant_vertices(w) == parse_vertex_set("{a}", w)
-    assert pendant_vertices(path(4)) == 0b1001
 
 
 FIXTURE_SHAPES = {

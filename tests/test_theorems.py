@@ -19,12 +19,11 @@ from lmss.graph import (
     validate,
 )
 from lmss.ops import corona, disjoint_union, zykov_sum
-from lmss.stable import SetFamily, is_local_max_stable, psi
+from lmss.stable import SetFamily, enumerate_stable_sets, is_local_max_stable, is_stable, psi
 from lmss.theorems import (
     CORPUS_MAX_N,
     P1_NOTE,
     THEOREM_IDS,
-    corona_psi_characterization,
     corpus_graphs,
     corpus_upto,
     instance_from_graphs,
@@ -212,17 +211,6 @@ def test_p2_family_equals_lifted_part_family():
 
 # -- corona -------------------------------------------------------------------
 
-def test_corona_characterization_fig5_bullets():
-    x, hs = fig5_host(), FIG5_PARTS()
-    g = named_fixture("CORONA_FIG5")
-    assert corona_psi_characterization(x, hs, parse_vertex_set("{x,z,v4}", g))
-    assert not corona_psi_characterization(x, hs, parse_vertex_set("{y,v3}", g))
-    assert not corona_psi_characterization(x, hs, parse_vertex_set("{v2,v4}", g))
-    assert not corona_psi_characterization(x, hs, parse_vertex_set("{v4}", g))
-    assert not corona_psi_characterization(x, hs, parse_vertex_set("{y,v2}", g))
-    assert corona_psi_characterization(x, hs, parse_vertex_set("{x,y,z}", g))
-
-
 @pytest.mark.parametrize("text, clause", [
     ("{y,v3}", {"part": "ii", "host_vertex": 2, "reason": "private graph not complete"}),
     ("{v2,v4}", {"part": "ii", "host_vertex": 1, "reason": "no intersection with part 0"}),
@@ -235,6 +223,7 @@ def test_corona_failing_clause_fig5_bullets(text, clause):
     x, hs = fig5_host(), FIG5_PARTS()
     c = corona(x, hs)
     s = parse_vertex_set(text, named_fixture("CORONA_FIG5"))
+    assert is_stable(c.graph, s)
     assert theorems._corona_failure(
         c, x, [psi(h) for h in hs], [is_complete(h) for h in hs], s) == clause
 
@@ -281,15 +270,16 @@ def test_l3_part_iv_witness_is_canonically_first(monkeypatch):
 def test_corona_characterization_matches_definition_everywhere():
     x, hs = fig5_host(), FIG5_PARTS()
     c = corona(x, hs)
-    from lmss.stable import enumerate_stable_sets
-
+    part_fams = [psi(h) for h in hs]
+    complete_part = [is_complete(h) for h in hs]
     for s in enumerate_stable_sets(c.graph):
-        assert corona_psi_characterization(x, hs, s) == is_local_max_stable(c.graph, s)
+        structural = theorems._corona_failure(c, x, part_fams, complete_part, s) is None
+        assert structural == is_local_max_stable(c.graph, s)
 
 
 def test_corona_characterization_requires_two_host_vertices():
     with pytest.raises(ValueError, match="at least 2"):
-        corona_psi_characterization(complete(1), [path(2)], 0)
+        verify_corona_lemma(complete(1), [path(2)])
 
 
 def test_l3_fig5_and_pendant_case():
@@ -370,6 +360,36 @@ def test_sweep_is_deterministic():
     a = sweep("P2_ZYKOV", max_size=9, count=10, seed=5)
     b = sweep("P2_ZYKOV", max_size=9, count=10, seed=5)
     assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
+
+
+def test_sweep_draws_each_seed_when_its_instance_runs(monkeypatch):
+    # the first stream the sweep builds is its own seed stream; a sweep that
+    # drew every seed up front would hold --count seeds before any instance ran
+    streams = []
+
+    class CountingStream(theorems.SplitMix64):
+        __slots__ = ("draws",)
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+            streams.append(self)
+
+        def next_u64(self):
+            self.draws += 1
+            return super().next_u64()
+
+    class FirstInstance(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstInstance(streams[0].draws)
+
+    monkeypatch.setattr(theorems, "SplitMix64", CountingStream)
+    monkeypatch.setattr(theorems, "run_on_instance", stop)
+    with pytest.raises(FirstInstance) as first:
+        sweep("T1_NT", max_size=6, count=1000, seed=5)
+    assert first.value.args == (1,)
 
 
 # smallest --sweep size each theorem's instance shape honours
