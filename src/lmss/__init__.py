@@ -1,5 +1,7 @@
 """Local maximum stable set families, greedoid checks, graph compositions."""
 
+from types import ModuleType as _ModuleType
+
 from .graph import (
     FIXTURE_NAMES,
     EdgeListError,
@@ -76,5 +78,6 @@ from .theorems import (
     verify_zykov_characterization,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

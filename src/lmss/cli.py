@@ -260,12 +260,14 @@ def cmd_compose(args) -> int:
     graphs = [_graph_from_spec(s, args.seed) for s in args.inputs]
     comp = _COMPOSE_OPS[args.op](graphs)
     if args.format == "json":
+        # the host's vertices come first, then each operand's in order
+        h = comp.host_vertices.bit_count()
         _emit_json({
             "graph6": G.to_graph6(comp.graph).decode("ascii"),
             "n": comp.graph.n,
             "offsets": list(comp.offsets),
-            "part_of": list(comp.part_of),
-            "index_in_part": list(comp.index_in_part),
+            "part_of": [-1] * h + [i for i, g in enumerate(comp.operands) for _ in range(g.n)],
+            "index_in_part": [*range(h), *(v for g in comp.operands for v in range(g.n))],
             "host_vertices": list(bits(comp.host_vertices)),
         })
     else:

@@ -168,6 +168,8 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
         raise ValueError("tree needs at least one vertex")
     if len(seq) != max(0, n - 2):
         raise ValueError("sequence length must be n-2")
+    if seq and not 0 <= min(seq) <= max(seq) < n:
+        raise ValueError(f"sequence entries must lie in 0..{n - 1}")
     if n == 1:
         return edgeless(1)
     degree = [1] * n
@@ -192,10 +194,7 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
 
 def labeled_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees on n vertices, in Pruefer order."""
-    if n <= 2:
-        yield tree_from_pruefer(n, [])
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
+    for seq in itertools.product(range(n), repeat=max(0, n - 2)):
         yield tree_from_pruefer(n, seq)
 
 
@@ -317,9 +316,7 @@ def parse_vertex_set(text: str, g: Graph) -> int:
     return mask
 
 
-def format_vertex_set(mask: int, g: Graph | None = None) -> str:
-    if g is None:
-        return "{" + ",".join(str(v) for v in bits(mask)) + "}"
+def format_vertex_set(mask: int, g: Graph) -> str:
     return "{" + ",".join(g.label(v) for v in bits(mask)) + "}"
 
 

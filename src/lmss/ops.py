@@ -1,14 +1,15 @@
 """Graph constructions with vertex provenance: union, Zykov sum, corona,
 generalized composition, lexicographic product.
 
-Canonical vertex numbering lays operands out consecutively in list order;
-a corona puts the host graph first. This makes the composition
-specializations literal graph equalities rather than isomorphisms.
+Operands are laid out in list order after a corona's host, so operand i
+occupies ``offsets[i]`` to ``offsets[i] + operands[i].n - 1``; this makes the
+composition specializations literal graph equalities, not isomorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .bitset import bits, full_mask
 from .graph import Graph
@@ -16,19 +17,14 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class CompositeGraph:
-    """A built graph plus the record of where each vertex came from.
-
-    ``part_of[v]`` is the operand index owning vertex v, or -1 for a corona
-    host vertex. ``index_in_part[v]`` is v's index inside its operand (or
-    inside the host). ``offsets[i]`` is the composite index of operand i's
-    vertex 0; operands occupy contiguous ranges.
-    """
+    """A built graph plus where each vertex came from: a corona's host first,
+    as the bits of ``host_vertices`` (0 otherwise), then operand i on
+    ``offsets[i]`` to ``offsets[i] + operands[i].n - 1``, its vertex v at
+    ``offsets[i] + v``."""
 
     graph: Graph
     operands: tuple[Graph, ...]
     offsets: tuple[int, ...]
-    part_of: tuple[int, ...]
-    index_in_part: tuple[int, ...]
     host_vertices: int = 0
 
     def restrict(self, s: int, i: int) -> int:
@@ -56,30 +52,21 @@ def _check_operands(parts: list[Graph], minimum: int) -> None:
             raise ValueError(f"operand {i} is the empty graph")
 
 
-def _layout(parts: list[Graph], base: int = 0) -> tuple[tuple[int, ...], list[int], list[int], int]:
-    offsets = []
-    part_of = [-1] * base
-    index_in_part = list(range(base))
-    pos = base
-    for i, g in enumerate(parts):
-        offsets.append(pos)
-        part_of.extend([i] * g.n)
-        index_in_part.extend(range(g.n))
-        pos += g.n
-    return tuple(offsets), part_of, index_in_part, pos
+def _layout(parts: list[Graph], base: int = 0) -> tuple[tuple[int, ...], int]:
+    *offsets, n = accumulate((g.n for g in parts), initial=base)
+    return tuple(offsets), n
 
 
 def _side_by_side(parts: list[Graph], joined: bool) -> CompositeGraph:
     """Operands laid out in order; joined adds every cross edge."""
     _check_operands(parts, 2)
-    offsets, part_of, index_in_part, n = _layout(parts)
+    offsets, n = _layout(parts)
     adj = [0] * n
     for off, g in zip(offsets, parts):
         cross = full_mask(n) & ~(full_mask(g.n) << off) if joined else 0
         for v in range(g.n):
             adj[off + v] = (g.adj[v] << off) | cross
-    return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets,
-                          tuple(part_of), tuple(index_in_part))
+    return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets)
 
 
 def disjoint_union(parts: list[Graph]) -> CompositeGraph:
@@ -103,7 +90,7 @@ def corona(x: Graph, hs: list[Graph]) -> CompositeGraph:
     if len(hs) != x.n:
         raise ValueError(f"need exactly {x.n} satellite graphs, got {len(hs)}")
     _check_operands(hs, 1)
-    offsets, part_of, index_in_part, n = _layout(hs, base=x.n)
+    offsets, n = _layout(hs, base=x.n)
     adj = [0] * n
     for v in range(x.n):
         adj[v] = x.adj[v]
@@ -112,8 +99,7 @@ def corona(x: Graph, hs: list[Graph]) -> CompositeGraph:
         adj[i] |= pm
         for v in range(h.n):
             adj[off + v] = (h.adj[v] << off) | (1 << i)
-    return CompositeGraph(Graph(n, tuple(adj)), tuple(hs), offsets,
-                          tuple(part_of), tuple(index_in_part), host_vertices=full_mask(x.n))
+    return CompositeGraph(Graph(n, tuple(adj)), tuple(hs), offsets, host_vertices=full_mask(x.n))
 
 
 def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
@@ -126,7 +112,7 @@ def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
     if len(parts) != h0.n:
         raise ValueError(f"need exactly {h0.n} parts, got {len(parts)}")
     _check_operands(parts, 0)
-    offsets, part_of, index_in_part, n = _layout(parts)
+    offsets, n = _layout(parts)
     adj = [0] * n
     masks = [full_mask(g.n) << off for off, g in zip(offsets, parts)]
     for i, (off, g) in enumerate(zip(offsets, parts)):
@@ -135,8 +121,7 @@ def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
             cross |= masks[j]
         for v in range(g.n):
             adj[off + v] = (g.adj[v] << off) | cross
-    return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets,
-                          tuple(part_of), tuple(index_in_part))
+    return CompositeGraph(Graph(n, tuple(adj)), tuple(parts), offsets)
 
 
 def lexicographic_product(h0: Graph, h: Graph) -> CompositeGraph:

@@ -135,6 +135,19 @@ def test_chain_failure_exit_1(capsys):
     assert "no chain" in out
 
 
+def test_chain_json_success(capsys):
+    code, out, _ = run_cli(capsys, "chain", "--fixture", "G2_FIG3", "{a,b,c}", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"chain": [[], [0], [0, 3], [0, 3, 4]], "ok": True}
+
+
+def test_chain_json_failure_exit_1(capsys):
+    code, out, _ = run_cli(capsys, "chain", "--fixture", "W_FIG1", "{d,f}", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "no accessibility chain: stuck at member with vertices [3, 5]", "ok": False}
+
+
 def test_chain_non_member_exit_1(capsys):
     code, out, _ = run_cli(capsys, "chain", "--fixture", "W_FIG1", "{d}")
     assert code == 1
@@ -339,6 +352,15 @@ def test_verify_sweep_defaults(capsys):
     assert json.loads(out) == expected
     # the CLI falls back to the library's defaults, not to a pair of its own
     assert json.loads(out) == [r.as_dict() for r in sweep("L4_ZYKOV_BOUND")]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("W_FIG1", "input spec 'W_FIG1' needs a prefix fixture:, g6:, file: or gen:"),
+    ("zz:1", "unknown input spec prefix 'zz'"),
+])
+def test_verify_input_spec_errors_exit_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "verify", "T1_NT", spec)
+    assert code == 2 and message in err and out == ""
 
 
 def test_verify_unknown_theorem(capsys):

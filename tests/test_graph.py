@@ -179,6 +179,32 @@ def test_pruefer_decode_validates():
         tree_from_pruefer(5, (1,))
 
 
+@pytest.mark.parametrize("seq", [(5, 0), (-1, 0), (4, 0)])
+def test_pruefer_entries_outside_the_vertices_are_rejected(seq):
+    with pytest.raises(ValueError, match=r"sequence entries must lie in 0\.\.3"):
+        tree_from_pruefer(4, seq)
+
+
+def test_labeled_trees_below_three_vertices():
+    assert list(labeled_trees(1)) == [edgeless(1)]
+    assert list(labeled_trees(2)) == [path(2)]
+    with pytest.raises(ValueError, match="at least one vertex"):
+        list(labeled_trees(0))
+
+
+@pytest.mark.parametrize("g, message", [
+    (Graph(2, (0b10,)), "adjacency length does not match vertex count"),
+    (Graph(-1, ()), "adjacency length does not match vertex count"),
+    (Graph(2, (0b100, 0)), "vertex 0 has neighbors outside the graph"),
+    (Graph(2, (0b01, 0)), "self-loop at vertex 0"),
+    (Graph(2, (0b10, 0)), "asymmetric edge (0,1)"),
+])
+def test_validate_names_each_broken_invariant(g, message):
+    with pytest.raises(ValueError) as err:
+        validate(g)
+    assert str(err.value) == message
+
+
 def test_random_graph_deterministic():
     g = random_graph(12, 30, 100, 7)
     assert g == random_graph(12, 30, 100, 7)
@@ -298,6 +324,7 @@ def test_vertex_set_syntax():
     assert format_vertex_set(0, w) == "{}"
     g2 = named_fixture("G2_FIG3")
     assert format_vertex_set(0b00011, g2) == "{a,1}"
+    assert format_vertex_set(0b101, path(3)) == "{0,2}"
     with pytest.raises(ValueError, match="unknown vertex"):
         parse_vertex_set("{z}", w)
     with pytest.raises(ValueError, match="braces"):

@@ -175,6 +175,39 @@ def test_bad_size_prefix():
         parse_graph6(b"")
 
 
+@pytest.mark.parametrize("data, message, offset", [
+    (b"~??", "truncated 4-byte size prefix", 3),
+    (b"~~???", "truncated 8-byte size prefix", 5),
+    (b"~? ?", "size byte 32 out of range", 2),
+    (b"~~?? ???", "size byte 32 out of range", 4),
+])
+def test_size_prefix_faults_report_their_offset(data, message, offset):
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6(data)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
+# _encode_size is called directly: a graph at the 8-byte bound has a 5.5 GB body
+@pytest.mark.parametrize("n, prefix", [
+    (258047, b"~}~~"),
+    (258048, b"~~???~??"),
+    (2**36 - 1, b"~~~~~~~~"),
+])
+def test_size_prefix_bounds(n, prefix):
+    assert graph6._encode_size(n) == prefix
+    assert graph6._decode_size(prefix) == (n, len(prefix))
+
+
+@pytest.mark.parametrize("n, message", [
+    (-1, "vertex count must be non-negative"),
+    (2**36, "vertex count too large for graph6"),
+])
+def test_size_prefix_rejects_counts_outside_the_format(n, message):
+    with pytest.raises(ValueError, match=message):
+        graph6._encode_size(n)
+
+
 @pytest.mark.parametrize("n", [15, 30, 45, 62])
 def test_round_trip_up_to_62(n):
     from lmss.graph import random_graph

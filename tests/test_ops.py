@@ -1,4 +1,6 @@
-"""Graph compositions: structure, provenance maps, alpha laws, identities."""
+"""Graph compositions: structure, offsets, alpha laws, identities."""
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -166,9 +168,9 @@ def test_union_and_zykov_structure(parts):
     assert alpha(z.graph) == max(alpha(g) for g in parts)
     # provenance: parts are bijectively recovered
     for c in (u, z):
-        assert sorted(c.part_of.index(i) for i in range(len(parts))) == sorted(c.offsets)
         full = 0
         for i in range(len(parts)):
+            assert _part_mask(c, i) & -_part_mask(c, i) == 1 << c.offsets[i]
             full |= _part_mask(c, i)
         assert full == (1 << total) - 1
         for i, g in enumerate(parts):
@@ -219,12 +221,13 @@ def test_composition_matches_definition(h0, pool):
     parts = [pool[i % len(pool)] for i in range(h0.n)]
     c = composition(h0, parts)
     validate(c.graph)
-    # adjacency: same part per the part graph, across parts per the skeleton
+    # adjacency: same part per the part graph, across parts per the skeleton;
+    # a vertex's part is the last one whose offset does not exceed it
     for v in range(c.graph.n):
         for u in range(v + 1, c.graph.n):
-            i, j = c.part_of[v], c.part_of[u]
+            i, j = bisect_right(c.offsets, v) - 1, bisect_right(c.offsets, u) - 1
             if i == j:
-                expected = bool(parts[i].adj[c.index_in_part[v]] >> c.index_in_part[u] & 1)
+                expected = bool(parts[i].adj[v - c.offsets[i]] >> (u - c.offsets[i]) & 1)
             else:
                 expected = bool(h0.adj[i] >> j & 1)
             assert bool(c.graph.adj[v] >> u & 1) == expected
@@ -234,5 +237,4 @@ def test_stable_sets_of_zykov_live_in_one_part():
     z = zykov_sum([path(3), path(3), complete(2)])
     for s in enumerate_stable_sets(z.graph):
         if s:
-            owners = {z.part_of[v] for v in range(z.graph.n) if s >> v & 1}
-            assert len(owners) == 1
+            assert sum(1 for i in range(len(z.operands)) if z.restrict(s, i)) == 1

@@ -8,6 +8,7 @@ import lmss.theorems as theorems
 from lmss.graph import (
     complete,
     cycle,
+    edgeless,
     from_edge_list,
     is_complete,
     named_fixture,
@@ -18,6 +19,7 @@ from lmss.graph import (
     to_graph6,
     validate,
 )
+from lmss.greedoid import ACCESSIBILITY_FAIL
 from lmss.ops import corona, disjoint_union, zykov_sum
 from lmss.stable import SetFamily, enumerate_stable_sets, is_local_max_stable, is_stable, psi
 from lmss.theorems import (
@@ -177,6 +179,20 @@ def test_p1_witness_is_canonically_first(monkeypatch):
     assert report.witness == {"set": [5], "in_family": False, "factors_through_parts": True}
 
 
+def test_p1_verdict_witness_catches_planted_bug(monkeypatch):
+    # the union family factors through the parts, but its greedoid verdict is flipped
+    real_is_greedoid = theorems.is_greedoid
+
+    def broken_is_greedoid(fam):
+        verdict = real_is_greedoid(fam)
+        return replace(verdict, status=ACCESSIBILITY_FAIL) if fam.universe == 6 else verdict
+
+    monkeypatch.setattr(theorems, "is_greedoid", broken_is_greedoid)
+    report = verify_union_prop([path(3), path(3)])
+    assert not report.holds
+    assert report.witness == {"whole_greedoid": False, "part_greedoids": [True, True]}
+
+
 # -- L4 and P2 ----------------------------------------------------------------
 
 def test_l4_examples():
@@ -244,6 +260,24 @@ def test_l3_witness_keys_keep_their_order(monkeypatch):
     assert not r.holds
     assert list(r.witness) == ["part", "set", "operand"]
     assert r.witness["part"] == "iii" and r.witness["operand"] == 2
+
+
+def test_l3_part_i_witness_catches_planted_bug(monkeypatch):
+    # the corona family loses {2}, the lift of part 0's member {0}
+    x, hs = path(2), [complete(1), complete(2)]
+    g = corona(x, hs).graph
+    real_psi = theorems.psi
+
+    def broken_psi(h):
+        fam = real_psi(h)
+        if h == g:
+            return SetFamily(fam.universe, [m for m in fam if m != 0b100])
+        return fam
+
+    monkeypatch.setattr(theorems, "psi", broken_psi)
+    report = verify_corona_lemma(x, hs)
+    assert not report.holds
+    assert report.witness == {"part": "i", "operand": 0, "set": [0]}
 
 
 def test_l3_part_iv_witness_is_canonically_first(monkeypatch):
@@ -330,6 +364,34 @@ def test_corollary_is_the_theorem_report_renamed():
 def test_c4_examples():
     assert verify_composition_specializations([complete(2), path(3)]).holds
     assert verify_composition_specializations([path(3), path(3)]).holds
+
+
+@pytest.mark.parametrize("skeleton, mismatch", [
+    (complete, "edgeless skeleton vs disjoint union"),
+    (edgeless, "complete skeleton vs Zykov sum"),
+])
+def test_c4_skeleton_witness_catches_planted_bug(monkeypatch, skeleton, mismatch):
+    # a composition that builds on the other skeleton than the one it is given
+    real_composition = theorems.composition
+    monkeypatch.setattr(theorems, "composition",
+                        lambda h0, parts: real_composition(skeleton(h0.n), parts))
+    report = verify_composition_specializations([path(2), path(3)])
+    assert not report.holds
+    assert report.witness == {"mismatch": mismatch}
+    assert report.stats == {"union_holds": True, "zykov_holds": True}
+
+
+def test_c4_zykov_verdict_witness_catches_planted_bug(monkeypatch):
+    real_verify = theorems.verify_zykov_characterization
+
+    def broken_verify(parts, seed=None):
+        return replace(real_verify(parts, seed), holds=False, witness={"greedoid": False})
+
+    monkeypatch.setattr(theorems, "verify_zykov_characterization", broken_verify)
+    report = verify_composition_specializations([path(2), path(3)])
+    assert not report.holds
+    assert report.witness == {"mismatch": "zykov verdict", "detail": {"greedoid": False}}
+    assert report.stats == {"union_holds": True, "zykov_holds": False}
 
 
 # -- sweeps ---------------------------------------------------------------------
