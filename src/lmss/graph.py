@@ -353,19 +353,18 @@ def _fixture_g4() -> Graph:
     )
 
 
-def _fixture_zykov(parts: tuple[Graph, ...]) -> Graph:
-    from .ops import zykov_sum
-
-    return zykov_sum(list(parts)).graph
+def _fixture_zykov(n: int, split: int, part_edges: list[tuple[int, int]]) -> Graph:
+    """Parts on 0..split-1 and split..n-1, every vertex of one joined to the other."""
+    return from_edge_list(n, part_edges + [(i, j) for i in range(split) for j in range(split, n)])
 
 
 def _fixture_corona() -> Graph:
-    from .ops import corona
-
-    host = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    comp = corona(host, [complete(3), complete(2), path(3), complete(1)])
-    labels = ("v1", "v2", "v3", "v4", "y", None, None, "u", None, "x", None, "z", "t")
-    return Graph(comp.graph.n, comp.graph.adj, labels)
+    return from_edge_list(
+        13,
+        [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 7), (1, 8), (2, 3), (2, 9),
+         (2, 10), (2, 11), (3, 12), (4, 5), (4, 6), (5, 6), (7, 8), (9, 10), (10, 11)],
+        labels=("v1", "v2", "v3", "v4", "y", None, None, "u", None, "x", None, "z", "t"),
+    )
 
 
 _FIXTURE_BUILDERS = {
@@ -374,8 +373,8 @@ _FIXTURE_BUILDERS = {
     "G2_FIG3": _fixture_g2,
     "G3_FIG3": _fixture_g3,
     "G4_FIG3": _fixture_g4,
-    "Z_K2_P3_FIG4": lambda: _fixture_zykov((complete(2), path(3))),
-    "Z_P3_P3_FIG4": lambda: _fixture_zykov((path(3), path(3))),
+    "Z_K2_P3_FIG4": lambda: _fixture_zykov(5, 2, [(0, 1), (2, 3), (3, 4)]),
+    "Z_P3_P3_FIG4": lambda: _fixture_zykov(6, 3, [(0, 1), (1, 2), (3, 4), (4, 5)]),
     "CORONA_FIG5": _fixture_corona,
 }
 

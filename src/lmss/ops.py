@@ -3,7 +3,8 @@ generalized composition, lexicographic product.
 
 Operands are laid out in list order after a corona's host, so operand i
 occupies ``offsets[i]`` to ``offsets[i] + operands[i].n - 1``; this makes the
-composition specializations literal graph equalities, not isomorphisms.
+composition specializations literal graph equalities, not isomorphisms. A
+corona X∘{H_i} is the composition of X∘K1 with K1 on X and H_i on pendant i.
 """
 
 from __future__ import annotations
@@ -44,22 +45,22 @@ class CompositeGraph:
             raise ValueError(f"operand index {i} out of range (0..{len(self.operands) - 1})")
 
 
-def _check_operands(parts: list[Graph], minimum: int) -> None:
-    if len(parts) < minimum:
-        raise ValueError(f"need at least {minimum} operand graphs, got {len(parts)}")
+def _check_operands(parts: list[Graph]) -> None:
     for i, g in enumerate(parts):
         if g.n == 0:
             raise ValueError(f"operand {i} is the empty graph")
 
 
-def _layout(parts: list[Graph], base: int = 0) -> tuple[tuple[int, ...], int]:
-    *offsets, n = accumulate((g.n for g in parts), initial=base)
+def _layout(parts: list[Graph]) -> tuple[tuple[int, ...], int]:
+    *offsets, n = accumulate((g.n for g in parts), initial=0)
     return tuple(offsets), n
 
 
 def _side_by_side(parts: list[Graph], joined: bool) -> CompositeGraph:
     """Operands laid out in order; joined adds every cross edge."""
-    _check_operands(parts, 2)
+    if len(parts) < 2:
+        raise ValueError(f"need at least 2 operand graphs, got {len(parts)}")
+    _check_operands(parts)
     offsets, n = _layout(parts)
     adj = [0] * n
     for off, g in zip(offsets, parts):
@@ -82,24 +83,20 @@ def zykov_sum(parts: list[Graph]) -> CompositeGraph:
 def corona(x: Graph, hs: list[Graph]) -> CompositeGraph:
     """Each host vertex v_i joined to every vertex of its private graph H_i.
 
-    The host is laid out first, then H_1..H_n. Host size 1 is accepted by
-    the operator itself even though the structural results assume 2+.
+    It is the composition of X∘K1 (X plus a pendant n + i on each v_i) with
+    K1 on v_i and H_i on n + i, so the host comes first, then H_1..H_n. Host
+    size 1 is accepted by the operator even though the results assume 2+.
     """
     if x.n == 0:
         raise ValueError("corona host must be nonempty")
     if len(hs) != x.n:
         raise ValueError(f"need exactly {x.n} satellite graphs, got {len(hs)}")
-    _check_operands(hs, 1)
-    offsets, n = _layout(hs, base=x.n)
-    adj = [0] * n
-    for v in range(x.n):
-        adj[v] = x.adj[v]
-    for i, (off, h) in enumerate(zip(offsets, hs)):
-        pm = full_mask(h.n) << off
-        adj[i] |= pm
-        for v in range(h.n):
-            adj[off + v] = (h.adj[v] << off) | (1 << i)
-    return CompositeGraph(Graph(n, tuple(adj)), tuple(hs), offsets, host_vertices=full_mask(x.n))
+    _check_operands(hs)
+    n = x.n
+    skeleton = Graph(2 * n, tuple(row | 1 << n + v for v, row in enumerate(x.adj))
+                     + tuple(1 << v for v in range(n)))
+    c = composition(skeleton, [Graph(1, (0,))] * n + list(hs))
+    return CompositeGraph(c.graph, tuple(hs), c.offsets[n:], full_mask(n))
 
 
 def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
@@ -111,7 +108,7 @@ def composition(h0: Graph, parts: list[Graph]) -> CompositeGraph:
     """
     if len(parts) != h0.n:
         raise ValueError(f"need exactly {h0.n} parts, got {len(parts)}")
-    _check_operands(parts, 0)
+    _check_operands(parts)
     offsets, n = _layout(parts)
     adj = [0] * n
     masks = [full_mask(g.n) << off for off, g in zip(offsets, parts)]

@@ -19,7 +19,7 @@ from lmss.graph import (
     random_graph,
     to_graph6,
 )
-from lmss.greedoid import is_greedoid
+from lmss.greedoid import EXCHANGE_FAIL, GreedoidVerdict, is_greedoid
 from lmss.ops import zykov_sum
 from lmss.stable import alpha, min_nonempty_size, psi
 from lmss.theorems import sweep
@@ -121,6 +121,19 @@ def test_check_plain_output(capsys):
     assert code == 1
     assert "status: ACCESSIBILITY_FAIL" in out
     assert "witness_x:" in out
+
+
+def test_check_reports_an_exchange_failure(capsys, monkeypatch):
+    # no graph is known whose Psi is accessible but fails exchange, so the
+    # verdict is planted to reach the witness_y line
+    monkeypatch.setattr("lmss.cli.is_greedoid", lambda f: GreedoidVerdict(
+        EXCHANGE_FAIL, 0b1001, 0b10, len(f), f.universe))
+    code, out, _ = run_cli(capsys, "check", "--fixture", "W_FIG1")
+    assert code == 1
+    assert out.splitlines() == [
+        "status: EXCHANGE_FAIL", "witness_x: {a,d}", "witness_y: {b}", "family_size: 13", "universe: 7"]
+    code, out, _ = run_cli(capsys, "check", "--fixture", "W_FIG1", "--format", "json")
+    assert code == 1 and json.loads(out)["witness_y"] == [1]
 
 
 def test_chain_success(capsys):
@@ -324,6 +337,7 @@ def test_verify_wrong_arity_exits_2(capsys, theorem, specs, message):
     # the T1_NT corpus stops at 7 vertices, and --sweep defaults to 10
     (["T1_NT", "--exhaustive"], "corpus covers 1..7 vertices, got 10"),
     (["T1_NT", "--sweep", "8", "--exhaustive"], "corpus covers 1..7 vertices, got 8"),
+    (["P1_UNION", "--exhaustive"], "error: no exhaustive sweep defined for 'P1_UNION'"),
 ])
 def test_verify_sweep_that_checks_nothing_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)

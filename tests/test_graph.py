@@ -35,6 +35,7 @@ from lmss.graph import (
     tree_from_pruefer,
     validate,
 )
+from lmss.rng import SplitMix64
 
 
 def test_from_edge_list_triangle():
@@ -59,6 +60,11 @@ def test_bad_endpoint_names_offending_pair():
 def test_self_loop_names_offending_pair():
     with pytest.raises(ValueError, match=r"\(2,2\)"):
         from_edge_list(3, [(2, 2)])
+
+
+def test_labels_must_match_vertex_count():
+    with pytest.raises(ValueError, match="labels length does not match vertex count"):
+        from_edge_list(2, [], labels=("a",))
 
 
 def test_fixture_w():
@@ -209,6 +215,11 @@ def test_random_graph_deterministic():
     g = random_graph(12, 30, 100, 7)
     assert g == random_graph(12, 30, 100, 7)
     validate(g)
+
+
+def test_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match=r"below\(\) needs a positive bound"):
+        SplitMix64(0).below(0)
 
 
 FIXTURE_SHAPES = {

@@ -92,7 +92,7 @@ def test_corona_alpha_sum():
 def test_corona_rejects_bad_input():
     with pytest.raises(ValueError, match="exactly 2"):
         corona(path(2), [complete(1)])
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="operand 1 is the empty graph"):
         corona(path(2), [complete(1), edgeless(0)])
     with pytest.raises(ValueError, match="nonempty"):
         corona(edgeless(0), [])
@@ -230,6 +230,34 @@ def test_composition_matches_definition(h0, pool):
                 expected = bool(parts[i].adj[v - c.offsets[i]] >> (u - c.offsets[i]) & 1)
             else:
                 expected = bool(h0.adj[i] >> j & 1)
+            assert bool(c.graph.adj[v] >> u & 1) == expected
+
+
+@given(nonempty_graphs(max_n=3), graph_lists(count_min=1, count_max=3, max_n=3))
+@settings(max_examples=60)
+def test_corona_matches_definition(host, pool):
+    hs = [pool[i % len(pool)] for i in range(host.n)]
+    c = corona(host, hs)
+    validate(c.graph)
+
+    # host vertex v is ("host", v); vertex k of H_i is (i, k)
+    def origin(v):
+        if c.host_vertices >> v & 1:
+            return "host", v
+        i = bisect_right(c.offsets, v) - 1
+        return i, v - c.offsets[i]
+
+    for v in range(c.graph.n):
+        for u in range(v + 1, c.graph.n):
+            (a, x), (b, y) = origin(v), origin(u)
+            if a == b == "host":
+                expected = bool(host.adj[x] >> y & 1)
+            elif a == "host":
+                expected = b == x
+            elif a == b:
+                expected = bool(hs[a].adj[x] >> y & 1)
+            else:
+                expected = False
             assert bool(c.graph.adj[v] >> u & 1) == expected
 
 

@@ -739,3 +739,4 @@ def test_set_family_dedup_and_api():
     assert 0b11 in fam and 0b10 not in fam
     assert [m for m in fam if m.bit_count() == 1] == [0b100]
     assert fam != SetFamily(4, fam.members)
+    assert (psi(path(2)) == 3) is False
