@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: parse inputs, call
 one operation, format the result. Exit codes: 0 success (and, for check
 and verify, a positive verdict), 1 negative verdict or failed chain,
-2 any input or usage error.
+2 any input or usage error, 141 (128 + SIGPIPE) when the reader closes
+stdout before the output is written.
 
 Single-graph commands take one of --fixture, --graph6, --file, --gen.
 Multi-graph commands (compose, verify) take ordered positional specs
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -30,7 +32,8 @@ from .graph import Graph
 from .greedoid import accessibility_chain, is_greedoid
 from .ops import CompositeGraph, composition, corona, disjoint_union, lexicographic_product, zykov_sum
 from .rng import SplitMix64
-from .stable import alpha, min_nonempty_size, psi
+# perfbench's tracer shims lmss.cli.alpha, which no command calls now
+from .stable import alpha, min_nonempty_size, psi  # noqa: F401
 from .theorems import (SWEEP_COUNT, SWEEP_MAX_SIZE, THEOREM_IDS, TheoremReport, instance_from_graphs,
                        run_on_instance, sweep)
 
@@ -183,7 +186,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_psi(args) -> int:
     g = _graph_from_flags(args)
     fam = psi(g)
-    a = alpha(g)
+    # every maximum stable set is in Psi, and the canonical order puts the largest last
+    a = fam.members[-1].bit_count()
     smallest = min_nonempty_size(fam)
     if args.format == "json":
         _emit_json({
@@ -389,7 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed the pipe shows here, not in the final flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; fd 1 goes to the null device so that the
+        # interpreter's final flush of what is left does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

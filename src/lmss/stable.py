@@ -6,25 +6,36 @@ stable set holds v (at degree 1, swap its neighbour for it). Otherwise it
 prunes with a greedy clique-cover upper bound and branches on which vertex
 of N[v] the stable set takes, for v of minimum degree: every maximal
 stable set meets N[v], and each branch leaves the vertices tried before it
-out.
+out. It tries v itself first, so its first dive is the min-degree greedy,
+and a floored search (below) meets a larger stable set sooner, often one
+with a larger deficiency.
 
-One walk visits the stable sets: enumerate_stable_sets(), omega() and,
-on a graph with a cycle, psi() all run it. It keeps an explicit stack, so
-it does not recurse per vertex of S. Each entry carries S, the vertices
-that may still join it, N(S), the vertices of N(S) with two or more
-neighbours in S, and a need, mask and base (below). A child S + v may
-take only the candidates after v that miss N(v), so each stable set is
-reached exactly once and non-stable sets never materialize; the child gets
-N(S) | N(v) and repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children
-are pushed lowest vertex first, so the highest is popped first: the stream
-follows no canonical order. The root carries a starting need k with the
-mask of all vertices, so the walk yields exactly the stable sets with at
-least k vertices: enumerate_stable_sets() starts from need 0 and omega()
-from need alpha. Given a memo, as psi() gives it, the walk keeps only the
-sets that pass its local-maximum test. is_local_max_stable() is the
-definition, a plain search on N[S] floored at |S|, and the reference the
-walk's shortcuts below are tested against. The walk's test decides
-whether alpha(N[S]) exceeds |S| without computing alpha(N[S]):
+One walk visits the stable sets: enumerate_stable_sets(), omega() and, on
+a graph with a cycle, psi() all run it. It keeps an explicit stack, so it
+does not recurse per vertex of S. Each entry carries S, the vertices that
+may still join it, N(S), the vertices of N(S) with two or more neighbours
+in S, and a need, mask and base (below). A child S + v may take only the
+candidates after v that miss N(v), so each stable set is reached exactly
+once and non-stable sets never materialize; the child gets N(S) | N(v) and
+repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed lowest
+vertex first, so the highest is popped first: the stream follows no
+canonical order. psi() walks the graph relabelled by decreasing degree, a
+stable sort, so ties keep index order: the child for v takes only the
+later vertices that miss N(v), so putting vertices of high degree first
+leaves their children few candidates. This is the static form of the
+clique-listing order of Eppstein, Loeffler and Strash ("Listing All
+Maximal Cliques in Sparse Graphs in Near-Optimal Time"), since stable sets
+are the cliques of the complement. Each entry also carries its set in the
+caller's labels, ORing in label[v] as it adds v, so members come back
+without a remap; enumerate_stable_sets() and omega() walk in index order.
+The root carries a starting need k with the mask of all vertices, so the
+walk yields exactly the stable sets with at least k vertices:
+enumerate_stable_sets() starts from need 0 and omega() from need alpha.
+Given a memo, as psi() gives it, the walk keeps only the sets that pass
+its local-maximum test. is_local_max_stable() is the definition, a plain
+search on N[S] floored at |S|, and the reference the walk's shortcuts
+below are tested against. The walk's test decides whether alpha(N[S])
+exceeds |S| without computing alpha(N[S]):
 
 * a vertex of N(S) is private to v in S when v is its only neighbour in
   S; if some v has two non-adjacent private neighbours a and b, then
@@ -40,10 +51,15 @@ N[S] - N[A] misses N[A], so A + W is stable in N[S]. So S is in Psi
 exactly when S - A is maximum in N[S] - N[A], and the search runs there
 from the floor |S - A|; a larger T' found there gives T = A + T'. The swap
 scans only S - A: on a vertex v of A it would make (A - v) + {a, b}, which
-beats A inside N[A]. Each entry carries as base N[A] for its nearest
-accepted ancestor A, or 0 for A empty at the root: an accepted S gives
-its children base N[S], and a rejected S passes its own base down, as
-does every entry with a need.
+beats A inside N[A]. A vertex outside N[A] sees only S - A. So when the
+swap finds nothing, S is accepted without a search if |S - A| <= 1, or if
+|S - A| = 2 and no vertex outside N[A] sees both vertices of S - A: each
+vertex of S - A with its private neighbours is then a clique, since the
+swap found no two non-adjacent ones, and these |S - A| cliques cover
+N[S] - N[A]. Each entry carries as base N[A] for its nearest accepted ancestor A,
+or 0 for A empty at the root: an accepted S gives its children base N[S],
+and a rejected S passes its own base down, as does every entry with a
+need.
 
 A rejection prunes the walk by its deficiency. Let T be a stable set of
 N[S] with |T| = |S| + d, and U a stable set of the candidates, so U misses
@@ -99,7 +115,7 @@ pass over the vertices.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .bitset import bits, full_mask
 from .graph import Graph, closed_neighborhood
@@ -226,8 +242,13 @@ def _alpha_masked(adj: tuple[int, ...], avail: int, floor: int | None = None) ->
             size += 1
         if size + _clique_cover_bound(adj, rem) <= best:
             return False
-        # every maximal stable set meets N[v]; branch on its first vertex there
-        branch = (adj[v] & rem) | 1 << v
+        # every maximal stable set meets N[v]; branch on its first vertex there,
+        # v itself first, so that the first dive is the min-degree greedy
+        low = 1 << v
+        if bb(rem & ~(adj[v] | low), size + 1, chosen | low):
+            return True
+        rem ^= low
+        branch = adj[v] & rem
         while branch:
             low = branch & -branch
             branch ^= low
@@ -281,6 +302,8 @@ def _decide_local_max(
     # for 2: T = (S - v) + {a, b}, and N(S - v) lies inside N[S]
     private = once & ~twice
     rest = s & ~base
+    # S is stable and contains A, so S meets N[A] in A alone
+    u = rest.bit_count()
     while rest:
         low = rest & -rest
         cand = adj[low.bit_length() - 1] & private
@@ -294,8 +317,12 @@ def _decide_local_max(
                 blk = (nbrs | adj[(other & -other).bit_length() - 1]) & ~hood
                 memo[hood] = (k + 1, False, blk)
                 return blk, 1
-    # S is stable and contains A, so S meets N[A] in A alone
-    u = (s & ~base).bit_count()
+    # no vertex of S - A has two non-adjacent privates, and a vertex outside
+    # N[A] sees only S - A; if none sees two vertices there, each vertex of
+    # S - A with its privates is a clique, and these cover N[S] - N[A]
+    if u <= 1 or u == 2 and not twice & ~base:
+        memo[hood] = (k, True, 0)
+        return -1, 0
     a, found = _alpha_masked(adj, hood & ~base, u)
     if a == u:
         memo[hood] = (k, True, 0)
@@ -310,13 +337,16 @@ def _decide_local_max(
 
 
 def _stable_walk(
-    adj: tuple[int, ...], need: int = 0, memo: dict[int, tuple[int, bool, int]] | None = None
+    adj: tuple[int, ...], need: int = 0, memo: dict[int, tuple[int, bool, int]] | None = None,
+    label: Sequence[int] | None = None,
 ) -> Iterator[int]:
     """Every stable set with at least ``need`` vertices once or, given a memo, those in Psi.
 
-    Each stack entry (S, candidates, N(S), repeats, need, mask, base)
-    is a stable set with the vertices that may still join it; a child's
-    masks are one OR and one AND away from its parent's. The root carries
+    Each set is yielded as the OR of ``label[v]`` over its vertices v, or
+    as itself without ``label``. Each stack entry (S, candidates, N(S),
+    repeats, need, mask, base, out) is a stable set with the vertices that
+    may still join it, and S in the yielded labels as out; a child's masks
+    are one OR and one AND away from its parent's. The root carries
     ``need`` with the mask of all vertices and base 0. While need is
     positive the walk yields and decides nothing; it branches only on the
     candidates b_1 < b_2 < ... in the mask, and the child for b_i leaves
@@ -331,14 +361,16 @@ def _stable_walk(
     need and keeps its base.
     """
     full = full_mask(len(adj))
-    stack = [(0, full, 0, 0, need, full, 0)]
+    if label is None:
+        label = [1 << v for v in range(len(adj))]
+    stack = [(0, full, 0, 0, need, full, 0, 0)]
     while stack:
-        s, candidates, once, twice, need, mask, base = stack.pop()
+        s, candidates, once, twice, need, mask, base, out = stack.pop()
         if not need:
             if memo is not None:
                 mask, need = _decide_local_max(adj, s, once, twice, memo, base)
             if not need:
-                yield s
+                yield out
                 mask = candidates
                 base = s | once
         branch = mask & candidates
@@ -348,10 +380,12 @@ def _stable_walk(
             need -= 1
         while branch:
             low = branch & -branch
-            nbrs = adj[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            nbrs = adj[v]
             branch ^= low
             candidates ^= low
-            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), need, mask, base))
+            stack.append((s | low, candidates & ~nbrs, once | nbrs, twice | (once & nbrs), need, mask, base,
+                          out | label[v]))
 
 
 def is_local_max_stable(g: Graph, s: int) -> bool:
@@ -425,7 +459,14 @@ def psi(g: Graph) -> SetFamily:
     adj = g.adj
     members = _forest_psi(adj)
     if members is None:
-        members = list(_stable_walk(adj, memo={}))
+        # walk the graph relabelled by decreasing degree, vertex order[i] as i;
+        # a stable sort keeps ties in index order
+        order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
+        at = [0] * g.n
+        for i, v in enumerate(order):
+            at[v] = 1 << i
+        walked = tuple(sum(at[u] for u in bits(adj[v])) for v in order)
+        members = list(_stable_walk(walked, memo={}, label=[1 << v for v in order]))
     return SetFamily(g.n, members)
 
 

@@ -1,18 +1,23 @@
 """The CLI is a thin adapter: outputs must match direct library calls."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _strategies import graphs
 from lmss.bitset import bits
 from lmss.cli import _json_text, _parse_gen_expr, build_parser, main
 from lmss.graph import (
     MAX_EDGE_LIST_VERTICES,
+    complete,
+    edgeless,
     named_fixture,
     parse_graph6,
     path,
@@ -60,6 +65,22 @@ def test_psi_json_matches_library(capsys):
     assert data["includes_empty"] is True
     assert data["members"] == [list(bits(m)) for m in fam]
     assert data["graph6"] == to_graph6(g).decode()
+
+
+@given(st.one_of(graphs(max_n=10), st.integers(0, 10).map(edgeless), st.integers(1, 10).map(complete)))
+@settings(max_examples=80, deadline=None)
+def test_psi_prints_alpha_of_the_graph(g):
+    # the alpha line is the size of the family's largest member
+    text = to_graph6(g).decode()
+    printed = []
+    for fmt in ("plain", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["psi", "--graph6", text, "--format", fmt]) == 0
+        printed.append(out.getvalue())
+    plain, as_json = printed
+    assert f"alpha: {alpha(g)}" in plain.splitlines()
+    assert json.loads(as_json)["alpha"] == alpha(g)
 
 
 def test_json_output_is_byte_deterministic(capsys):
@@ -472,8 +493,6 @@ def test_file_and_stdin_inputs(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "psi", "--file", str(edge), "--format", "json")
     assert code == 0
     assert json.loads(out)["members"] == [list(bits(m)) for m in psi(path(4))]
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO("Ch\n"))
     code, out2, _ = run_cli(capsys, "psi", "--file", "-", "--format", "json")
     assert code == 0
@@ -524,6 +543,28 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "GREEDOID" in proc.stdout
+
+
+def test_closed_stdout_exits_141_quietly():
+    # psi of path:100 prints more than a pipe buffer holds, so the writer is
+    # still writing when the reader closes the pipe after one line
+    argv = ["psi", "--gen", "path:100"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert len(out.getvalue()) > 1 << 16
+    proc = subprocess.Popen([sys.executable, "-m", "lmss", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"graph: n=100 m=99\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_module_verify_matches_library():

@@ -17,6 +17,7 @@ from _strategies import forests, graphs, trees
 from lmss import stable
 from lmss.bitset import bits
 from lmss.graph import (
+    Graph,
     complete,
     cycle,
     edgeless,
@@ -452,14 +453,30 @@ def graphs_with_a_cycle(draw, max_n=16):
     return from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n)))
 
 
+def _walked_graph(g, decisions):
+    """The graph the walk decided on, asserted to be ``g`` relabelled by decreasing degree.
+
+    Vertex v of ``g`` is vertex i of the walked graph when v is the i-th
+    vertex by decreasing degree, ties in index order.
+    """
+    adjs = {adj for adj, *_ in decisions}
+    assert len(adjs) == 1
+    walked = Graph(g.n, adjs.pop())
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    at = {v: i for i, v in enumerate(order)}
+    assert walked == from_edge_list(g.n, [(at[u], at[v]) for u, v in edges(g)])
+    return walked
+
+
 @given(graphs_with_a_cycle())
 @settings(max_examples=60, deadline=None)
 def test_walk_matches_stream_filter(g):
     fam, decisions = _psi_walked(g)
+    h = _walked_graph(g, decisions)
     decided = [s for _, s, *_ in decisions]
     assert len(decided) == len(set(decided))
     # the prune skips only stable sets that are not local maximum
-    assert not (set(recursive_stable_sets(g)) - set(decided)) & brute_psi(g)
+    assert not (set(recursive_stable_sets(h)) - set(decided)) & brute_psi(h)
     # N(S) and the vertices of N(S) that have two or more neighbours in S are
     # carried down the walk, not rebuilt. The walk is a preorder, so a set's
     # nearest decided ancestor is the last decided set that is a subset of
@@ -471,15 +488,15 @@ def test_walk_matches_stream_filter(g):
     ancestors = []
     for _, s, once, twice, _, base, (blk, d) in decisions:
         # every decision agrees with the definition of Psi
-        assert (d == 0) == is_local_max_stable(g, s)
-        counts = [(row & s).bit_count() for row in g.adj]
+        assert (d == 0) == is_local_max_stable(h, s)
+        counts = [(row & s).bit_count() for row in h.adj]
         assert once == sum(1 << u for u, c in enumerate(counts) if c >= 1)
         assert twice == sum(1 << u for u, c in enumerate(counts) if c >= 2)
         assert (blk, d) == (-1, 0) or d >= 1 and blk >= 0 and blk & (s | once) == 0
         while ancestors and ancestors[-1][0] & ~s:
             ancestors.pop()
         accepted = [a for a, a_blk, _ in ancestors if a_blk < 0]
-        assert base == (brute_closed_neighborhood(g, accepted[-1]) if accepted else 0)
+        assert base == (brute_closed_neighborhood(h, accepted[-1]) if accepted else 0)
         if s:
             parent, parent_blk, parent_d = ancestors[-1]
             added = s & ~parent
@@ -505,8 +522,9 @@ def test_walk_from_a_root_need_yields_the_larger_stable_sets(g, data):
 def test_rejections_return_a_blocking_mask(g):
     # a rejected S returns N(T) - N[S] for some stable set T of N[S] with d
     # more vertices than S
-    closed = [(t, brute_closed_neighborhood(g, t)) for t in brute_stable_sets(g)]
     _, decisions = _psi_walked(g)
+    h = _walked_graph(g, decisions)
+    closed = [(t, brute_closed_neighborhood(h, t)) for t in brute_stable_sets(h)]
     for _, s, once, _, _, _, (blk, d) in decisions:
         if blk >= 0:
             hood = s | once
@@ -526,6 +544,58 @@ def test_accepted_subset_splits_alpha_of_the_hood(g):
             if s & a == a:
                 hood = brute_closed_neighborhood(g, s)
                 assert table[hood] == a.bit_count() + table[hood & ~around]
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_complete_swap_accepts_without_a_search(g):
+    # after the 1-for-2 swap finds nothing, S is accepted without a search
+    # when |S - A| <= 1, or |S - A| = 2 and no vertex outside N[A] sees both
+    # vertices of S - A; A is the empty set (base 0) or any member inside S
+    stable_sets = brute_stable_sets(g)
+    local_max = {s: is_local_max_stable(g, s) for s in stable_sets}
+    members = [s for s in stable_sets if local_max[s]]
+    search = stable._alpha_masked
+
+    def no_search(*args):
+        raise AssertionError("the floored search ran")
+
+    stable._alpha_masked = no_search
+    try:
+        for s in stable_sets:
+            once = twice = 0
+            for v in bits(s):
+                twice |= once & g.adj[v]
+                once |= g.adj[v]
+            for a in members:
+                if a & ~s:
+                    continue
+                base = brute_closed_neighborhood(g, a)
+                u = (s & ~a).bit_count()
+                if u <= 1 or u == 2 and not twice & ~base:
+                    blk, d = stable._decide_local_max(g.adj, s, once, twice, {}, base)
+                    assert (d == 0) == local_max[s]
+    finally:
+        stable._alpha_masked = search
+
+
+def _assert_psi_commutes(g, perm):
+    # the walk runs on g relabelled by degree and yields sets in g's labels
+    h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+    moved = (sum(1 << perm[v] for v in bits(m)) for m in psi(g))
+    assert psi(h) == SetFamily(g.n, moved)
+
+
+@given(graphs_with_a_cycle(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_psi_commutes_with_relabelling(g, data):
+    _assert_psi_commutes(g, data.draw(st.permutations(range(g.n))))
+
+
+@given(st.permutations(range(70)))
+@settings(max_examples=5, deadline=None)
+def test_psi_commutes_with_relabelling_past_one_word(perm):
+    _assert_psi_commutes(cycle(70), perm)
 
 
 def _grid(rows, cols):
@@ -568,12 +638,12 @@ def bipartite_graphs(draw, max_n=14):
 @settings(max_examples=80, deadline=None)
 def test_carried_walk_matches_naive_on_bipartite_graphs(g):
     fam, decisions = _psi_walked(g)
-    members = brute_psi(g)
-    assert set(fam.members) == members
+    assert set(fam.members) == brute_psi(g)
     # the walk decides no set while it still needs vertices of a blocking
     # mask, and none below a pruned entry; none of those is a member
+    h = _walked_graph(g, decisions)
     decided = {s for _, s, *_ in decisions}
-    assert not (set(brute_stable_sets(g)) - decided) & members
+    assert not (set(brute_stable_sets(h)) - decided) & brute_psi(h)
 
 
 @pytest.mark.parametrize("g", [_grid(6, 6), _hypercube(5)], ids=["grid6x6", "Q5"])
