@@ -45,8 +45,11 @@ def _json_text(obj, pad: str = "\n") -> str:
     json.dumps call per scalar builds a new encoder each time. This writer
     joins each nesting level with "," and ``pad`` two spaces deeper, prints
     tuples as lists, quotes strings as json does, writes plain ints (not
-    bools) with str(), and leaves only floats to json.dumps.
+    bools) with str(), and leaves only floats to json.dumps. A callable
+    writes its own text, given ``pad``.
     """
+    if callable(obj):
+        return obj(pad)
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):
@@ -75,6 +78,33 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 def _emit_json(obj) -> None:
     print(_json_text(obj))
+
+
+def _joined_names(mask: int, names: list[str], sep: str) -> str:
+    """``names[v]`` for each vertex v of ``mask`` in increasing order, joined by ``sep``."""
+    parts = []
+    while mask:
+        low = mask & -mask
+        parts.append(names[low.bit_length() - 1])
+        mask ^= low
+    return sep.join(parts)
+
+
+def _members_json(members, n: int):
+    """A writer for ``_json_text`` of the members as lists of vertex indices.
+
+    Its text equals ``_json_text([list(bits(m)) for m in members], pad)``
+    for a nonempty ``members``, as psi's family always is.
+    """
+    names = [str(v) for v in range(n)]
+
+    def text(pad: str) -> str:
+        inner = pad + "  "
+        head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        items = (head + _joined_names(m, names, sep) + tail if m else "[]" for m in members)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+    return text
 
 
 _GEN_ONE_PARAM = {"complete": G.complete, "path": G.path, "cycle": G.cycle, "edgeless": G.edgeless}
@@ -197,15 +227,15 @@ def cmd_psi(args) -> int:
             "family_size": len(fam),
             "includes_empty": True,
             "psi_min_size": smallest,
-            "members": [list(bits(m)) for m in fam],
+            "members": _members_json(fam, g.n),
         })
     else:
         print(f"graph: n={g.n} m={G.edge_count(g)}")
         print(f"alpha: {a}")
         print(f"psi_size: {len(fam)} (includes the empty set)")
         print(f"psi_min_size: {smallest if smallest is not None else 'none'}")
-        for m in fam:
-            print(G.format_vertex_set(m, g))
+        names = [g.label(v) for v in range(g.n)]
+        sys.stdout.writelines("{" + _joined_names(m, names, ",") + "}\n" for m in fam)
     return 0
 
 

@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _strategies import graphs
@@ -65,6 +66,35 @@ def test_psi_json_matches_library(capsys):
     assert data["includes_empty"] is True
     assert data["members"] == [list(bits(m)) for m in fam]
     assert data["graph6"] == to_graph6(g).decode()
+
+
+@given(st.one_of(graphs(max_n=10), graphs(min_n=11, max_n=14)))
+@example(edgeless(0))
+@example(edgeless(12))
+@example(random_graph(14, 3, 10, 1))
+@settings(max_examples=60, deadline=None)
+def test_psi_json_bytes_match_json_dumps(g):
+    # the members are written straight from their masks; the bytes are
+    # json.dumps's, two-digit vertex names and 4,096 members included
+    text = to_graph6(g).decode()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["psi", "--graph6", text, "--format", "json"]) == 0
+    got = out.getvalue()
+    fam = psi(g)
+    want = json.dumps({
+        "graph6": text,
+        "n": g.n,
+        "alpha": alpha(g),
+        "family_size": len(fam),
+        "includes_empty": True,
+        "psi_min_size": min_nonempty_size(fam),
+        "members": [list(bits(m)) for m in fam],
+    }, sort_keys=True, indent=2) + "\n"
+    # compare the common prefix's length, not the texts: pytest's line diff
+    # of two texts with 4,096 members each takes minutes
+    same = len(os.path.commonprefix([got, want]))
+    assert (same, len(got)) == (len(want), len(want)), got[same:same + 80]
 
 
 @given(st.one_of(graphs(max_n=10), st.integers(0, 10).map(edgeless), st.integers(1, 10).map(complete)))

@@ -267,9 +267,10 @@ def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
 
 
 def test_floored_search_reject_then_exact_memo(monkeypatch):
-    # K_{2,3} with sides {0, 1} and {2, 3, 4}: no neighbour is private to a
-    # vertex of {0, 1} or of {2, 3, 4}, so the 1-for-2 swap settles neither
-    k23 = from_edge_list(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    # K_{2,3} with sides {3, 4} and {0, 1, 2}: no neighbour is private to a
+    # vertex of {3, 4} or of {0, 1, 2}, so the 1-for-2 swap settles neither;
+    # the greedy pass takes 4 first, then 3, and stays at the floor
+    k23 = from_edge_list(5, [(a, b) for a in (3, 4) for b in (0, 1, 2)])
     searches = []
     search = stable._alpha_masked
 
@@ -280,20 +281,37 @@ def test_floored_search_reject_then_exact_memo(monkeypatch):
     monkeypatch.setattr(stable, "_alpha_masked", counted)
     memo = {}
     # each vertex of N(S) has two or more neighbours in S
-    assert stable._decide_local_max(k23.adj, 0b00011, 0b11100, 0b11100, memo, 0) == (0, 1)
-    assert searches == [(0b11111, 2)]  # it stops at {2, 3, 4}
+    assert stable._decide_local_max(k23.adj, 0b11000, 0b00111, 0b00111, memo, 0) == (0, 1)
+    assert searches == [(0b11111, 2)]  # it stops at {0, 1, 2}
     assert memo == {0b11111: (3, False, 0)}
-    assert stable._decide_local_max(k23.adj, 0b11100, 0b00011, 0b00011, memo, 0) == (-1, 0)
+    assert stable._decide_local_max(k23.adj, 0b00111, 0b11000, 0b11000, memo, 0) == (-1, 0)
     assert searches == [(0b11111, 2), (0b11111, 3)]
     assert memo == {0b11111: (3, True, 0)}
-    assert psi(k23).members == (0, 0b01100, 0b10100, 0b11000, 0b11100)
+    assert psi(k23).members == (0, 0b00011, 0b00101, 0b00110, 0b00111)
+
+
+def test_greedy_pass_rejects_without_a_search(monkeypatch):
+    # 0 and 1 both see 3, 4, 5 and 6, and 6 also sees 2: S = {0, 1} has no
+    # private neighbour, and the pass over N[S] takes 6, 5, 4 and 3, so
+    # T = {3, 4, 5, 6} beats S by d = 2 with blocking mask N(T) - N[S] = {2}
+    g = from_edge_list(7, [(a, b) for a in (0, 1) for b in (3, 4, 5, 6)] + [(2, 6)])
+    assert not is_local_max_stable(g, 0b11)
+
+    def no_search(*args):
+        raise AssertionError("the floored search ran")
+
+    monkeypatch.setattr(stable, "_alpha_masked", no_search)
+    memo = {}
+    assert stable._decide_local_max(g.adj, 0b11, 0b1111000, 0b1111000, memo, 0) == (0b100, 2)
+    assert memo == {0b1111011: (4, False, 0b100)}
 
 
 def test_search_skips_the_accepted_ancestors_hood(monkeypatch):
-    # the path 3-1-0-2-4 and the isolated vertex 5: A = {5} is in Psi, so
-    # S = {1, 2, 5} is decided on N[S] - N[A] = {0, ..., 4} from floor 2
-    g = from_edge_list(6, [(1, 3), (0, 1), (0, 2), (2, 4)])
-    s, once, twice = 0b100110, 0b011001, 0b000001
+    # the path 3-4-0-2-1 and the isolated vertex 5: A = {5} is in Psi, so
+    # S = {2, 4, 5} is decided on N[S] - N[A] = {0, ..., 4} from floor 2;
+    # the greedy pass there takes 4 and then 2, and stays at the floor
+    g = from_edge_list(6, [(3, 4), (0, 4), (0, 2), (1, 2)])
+    s, once, twice = 0b110100, 0b001011, 0b000001
     searches = []
     search = stable._alpha_masked
 
