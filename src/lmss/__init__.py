@@ -15,7 +15,6 @@ from .graph import (
     edges,
     format_vertex_set,
     from_edge_list,
-    induced_subgraph,
     is_complete,
     is_connected,
     is_tree,
@@ -29,7 +28,6 @@ from .graph import (
     random_tree,
     to_graph6,
     tree_from_pruefer,
-    validate,
 )
 from .greedoid import (
     ACCESSIBILITY_FAIL,

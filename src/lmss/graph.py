@@ -43,21 +43,6 @@ class Graph:
         return str(v)
 
 
-def validate(g: Graph) -> None:
-    """Check the structural invariants (simple, loopless, symmetric)."""
-    if g.n < 0 or len(g.adj) != g.n:
-        raise ValueError("adjacency length does not match vertex count")
-    fm = full_mask(g.n)
-    for v, row in enumerate(g.adj):
-        if row & ~fm:
-            raise ValueError(f"vertex {v} has neighbors outside the graph")
-        if row >> v & 1:
-            raise ValueError(f"self-loop at vertex {v}")
-        for u in bits(row):
-            if not g.adj[u] >> v & 1:
-                raise ValueError(f"asymmetric edge ({v},{u})")
-
-
 def from_edge_list(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -96,24 +81,6 @@ def closed_neighborhood(g: Graph, a: int) -> int:
     for v in bits(a):
         out |= g.adj[v]
     return out
-
-
-def induced_subgraph(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph spanned by the vertex set ``x`` plus the old-index map.
-
-    New vertex i corresponds to old vertex ``vmap[i]``; relative order is
-    preserved, so inducing on the full vertex set returns the graph itself.
-    """
-    vmap = tuple(bits(x))
-    pos = {old: new for new, old in enumerate(vmap)}
-    adj = []
-    for old in vmap:
-        row = 0
-        for u in bits(g.adj[old] & x):
-            row |= 1 << pos[u]
-        adj.append(row)
-    lab = tuple(g.labels[v] for v in vmap) if g.labels is not None else None
-    return Graph(len(vmap), tuple(adj), lab), vmap
 
 
 def is_complete(g: Graph) -> bool:

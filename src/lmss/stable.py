@@ -19,15 +19,19 @@ candidates after v that miss N(v), so each stable set is reached exactly
 once and non-stable sets never materialize; the child gets N(S) | N(v) and
 repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed lowest
 vertex first, so the highest is popped first: the stream follows no
-canonical order. psi() walks the graph relabelled by decreasing degree, a
-stable sort, so ties keep index order: the child for v takes only the
-later vertices that miss N(v), so putting vertices of high degree first
-leaves their children few candidates. This is the static form of the
-clique-listing order of Eppstein, Loeffler and Strash ("Listing All
-Maximal Cliques in Sparse Graphs in Near-Optimal Time"), since stable sets
-are the cliques of the complement. Each entry also carries its set in the
-caller's labels, ORing in label[v] as it adds v, so members come back
-without a remap; enumerate_stable_sets() and omega() walk in index order.
+canonical order. psi() walks the graph relabelled in reverse smallest-last
+order (Matula and Beck, "Smallest-last ordering and clustering and graph
+coloring algorithms"): it removes a vertex of least degree among those
+left, the lowest index on ties, until none is left, and numbers the
+vertices from the last removed. Vertex i then has least degree in the
+subgraph on 0..i, so at most d of its neighbours come before it, for d the
+degeneracy of the graph; the child for v takes only the later vertices
+that miss N(v), so it leaves out all of N(v) but those few. Eppstein,
+Loeffler and Strash ("Listing All Maximal Cliques in Sparse Graphs in
+Near-Optimal Time") list cliques in this order. Each entry also carries
+its set in the caller's labels, ORing in label[v] as it adds v, so members
+come back without a remap; enumerate_stable_sets() and omega() walk in
+index order.
 The root carries a starting need k with the mask of all vertices, so the
 walk yields exactly the stable sets with at least k vertices:
 enumerate_stable_sets() starts from need 0 and omega() from need alpha.
@@ -43,15 +47,29 @@ exceeds |S| without computing alpha(N[S]):
 * otherwise one greedy pass takes the highest vertex left in N[S], drops
   it and its neighbours, and repeats; any stable set of N[S] larger than S
   is a witness T, so S is rejected when the pass takes more than |S|
-  vertices. psi() walks the graph numbered by decreasing degree, so the
-  pass takes vertices of least degree first, at a few bit operations each;
-  on the 100 benchmark G(n, p) graphs it settles a third of the sets that
-  would otherwise be searched;
+  vertices. In psi()'s order vertex i has least degree in the subgraph on
+  0..i, so the pass takes vertices of small degree first, at a few bit
+  operations each; on the 100 benchmark G(n, p) graphs it rejects half of
+  the sets that reach it;
+* otherwise the memo (below) is probed at N[S - w] for each w in S, which
+  is N(S) less the private neighbours of w, plus S - w. An entry (a,
+  exact, blk) there accepts S when it is exact with a = |S| - 1: S - w is
+  then in Psi, and N[S] - N[S - w] is w with its private neighbours, a
+  clique since the swap found no two non-adjacent ones, so alpha(N[S]) =
+  |S|. Otherwise the entry stands for a stable set T of N[S - w] with a
+  vertices and blocking mask blk, which lies in N[S] with blocking mask
+  blk - N[S] there. If a >= |S| and w is not in blk, then w, which misses
+  N[S - w], misses N(T) too, so T + w is stable in N[S]; since N(w) lies
+  inside N[S], its blocking mask is blk - N[S] as well, and S is rejected
+  with d = a + 1 - |S|. If a > |S| and w is in blk, T rejects S with
+  d = a - |S|. The probe runs after the pass, since the sets the pass
+  rejects would pay for it too;
 * otherwise the branch-and-bound runs floored: it starts from best = |S|
   (S is stable in N[S]) and stops at the first larger stable set T, so a
   greedy clique cover of N[S] with |S| cliques accepts S at the root.
 
-All three run outside the closed neighbourhood of an accepted subset.
+The swap, the pass and the search run outside the closed neighbourhood of
+an accepted subset.
 For A in Psi and a stable S containing A, alpha(N[S]) = |A| +
 alpha(N[S] - N[A]): N[S] is N[A] plus N[S] - N[A], and alpha(N[A]) = |A|;
 and a stable W in N[S] - N[A] misses N[A], so A + W is stable in N[S].
@@ -59,8 +77,9 @@ So S is in Psi exactly when S - A is maximum in N[S] - N[A]: the pass
 runs there, and the search from the floor |S - A|; any stable set T'
 there larger than S - A gives T = A + T', whose blocking mask N(T') - N[S]
 follows from T' alone, since N(A) lies inside N[S]. The swap scans only
-S - A: on a vertex v of A it would make (A - v) + {a, b}, which
-beats A inside N[A]. A vertex outside N[A] sees only S - A. So when the
+S - A: on a vertex v of A it would make (A - v) + {a, b}, which beats A
+inside N[A]; the probe takes w from S - A, whose private neighbours the
+swap has checked. A vertex outside N[A] sees only S - A. So when the
 swap finds nothing, S is accepted without a search if |S - A| <= 1, or if
 |S - A| = 2 and no vertex outside N[A] sees both vertices of S - A: each
 vertex of S - A with its private neighbours is then a clique, since the
@@ -94,7 +113,8 @@ Outcomes are memoized by closed-neighborhood mask, as (k, True, 0) for
 mask of a stable set of size k; both depend on N[S] alone. A later set
 with the same N[S] and fewer than k vertices is rejected without a search,
 with d = k - |S|. Its blocking mask is blk, or 0 when alpha is exact, since
-the accepted set that stored it lies in N[S] with its neighbours.
+the accepted set that stored it lies in N[S] with its neighbours; so an
+exact entry carries blk = 0, which the probe above relies on.
 
 On a forest psi() does not walk the stable sets. The pruned walk would
 finish, but about 5 to 10 times slower: on 2 vCPUs, three runs each,
@@ -299,12 +319,17 @@ def _decide_local_max(
     there gives T = A + T', whose blocking mask is N(T') - N[S] since N(A)
     lies inside N[S]. Before the search a greedy pass repeatedly takes the
     highest vertex left in N[S] - N[A] and drops it with its neighbours;
-    psi's walk numbers vertices by decreasing degree, so that is one of
-    least degree in the graph. Any stable set there larger than S - A is
-    such a T', so when the pass finds one S is rejected with it and the
-    search does not run. ``memo`` maps a closed neighborhood to
-    (a, True, 0) when its stability number is a, or to (a, False, blk)
-    when a stable set T of size a there has blocking mask blk.
+    in psi's reverse smallest-last order that is one of least degree among
+    the vertices up to it. Any stable set there larger than S - A is such a
+    T', so when the pass finds one S is rejected with it and the search
+    does not run. When the pass fails, the memo is probed at N[S - w] for
+    each w in S - A, lowest first, as the module docstring sets out: an
+    exact entry of |S| - 1 accepts S, and an entry of a >= |S| rejects it
+    with T + w when w is not in the entry's blocking mask, or with T when
+    a > |S|; the search runs only when no probe settles S. ``memo`` maps a
+    closed neighborhood to (a, True, 0) when its stability number is a, or
+    to (a, False, blk) when a stable set T of size a there has blocking
+    mask blk.
     """
     hood = s | once
     k = s.bit_count()
@@ -348,6 +373,29 @@ def _decide_local_max(
         rem &= ~(adj[v] | 1 << v)
     a = found.bit_count()
     if a <= u:
+        # the memo at N[S - w] for w in S - A may settle S without a search;
+        # N(S - w) is N(S) less the private neighbours of w
+        rest = s & ~base
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            known = memo.get((s ^ low) | twice | (once & ~adj[low.bit_length() - 1]))
+            if known is None:
+                continue
+            a, exact, blk = known
+            if exact and a == k - 1:
+                # S - w is in Psi, and w with its privates is a clique
+                memo[hood] = (k, True, 0)
+                return -1, 0
+            # a witness T in N[S - w] lies in N[S]; w misses N[S - w], so
+            # when w is not in N(T) either, T + w is stable
+            if a >= k and not blk & low:
+                a += 1
+            elif a <= k:
+                continue
+            blk &= ~hood
+            memo[hood] = (a, False, blk)
+            return blk, a - k
         a, found = _alpha_masked(adj, region, u)
         if a == u:
             memo[hood] = (k, True, 0)
@@ -479,14 +527,68 @@ def _forest_psi(adj: tuple[int, ...]) -> list[int] | None:
     return family
 
 
+def _smallest_last(adj: tuple[int, ...]) -> list[int]:
+    """The vertices in reverse smallest-last order (Matula and Beck).
+
+    Each step removes a vertex of least degree among those left, the lowest
+    index on ties; the result lists them from the last removed to the
+    first. The vertices left are kept in bitmask buckets by degree. A
+    removed vertex of degree d moves its d neighbours down one bucket each
+    or, when fewer buckets than that lie between d and the highest degree
+    left, sweeps those buckets once. Each removal thus costs O(1 + d) bit
+    operations, O(n + m) in all, and O(1) on a complete graph.
+    """
+    n = len(adj)
+    buckets = [0] * (n + 1)
+    for v, row in enumerate(adj):
+        buckets[row.bit_count()] |= 1 << v
+    left = full_mask(n)
+    removed = []
+    d = 0
+    top = n
+    for _ in range(n):
+        while not buckets[d]:
+            d += 1
+        while not buckets[top]:
+            top -= 1
+        b = buckets[d]
+        low = b & -b
+        buckets[d] = b ^ low
+        left ^= low
+        v = low.bit_length() - 1
+        removed.append(v)
+        nbrs = adj[v] & left
+        if d <= top - d:
+            while nbrs:
+                lu = nbrs & -nbrs
+                nbrs ^= lu
+                e = (adj[lu.bit_length() - 1] & left).bit_count()
+                buckets[e + 1] ^= lu
+                buckets[e] |= lu
+        else:
+            # lowest bucket first, so no vertex moves twice
+            e = d
+            while nbrs:
+                moved = buckets[e] & nbrs
+                buckets[e] ^= moved
+                buckets[e - 1] |= moved
+                nbrs ^= moved
+                e += 1
+        # removing a vertex lowers the least degree left by at most one
+        if d:
+            d -= 1
+    removed.reverse()
+    return removed
+
+
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
     adj = g.adj
     members = _forest_psi(adj)
     if members is None:
-        # walk the graph relabelled by decreasing degree, vertex order[i] as i;
-        # a stable sort keeps ties in index order
-        order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
+        # walk the graph relabelled in reverse smallest-last order, vertex
+        # order[i] as i, so the highest index has least degree in g
+        order = _smallest_last(adj)
         at = [0] * g.n
         for i, v in enumerate(order):
             at[v] = 1 << i

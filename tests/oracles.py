@@ -10,7 +10,9 @@ Two tiers, both separate from the library's code paths:
 
 recursive_stable_sets() is the reference for the library's explicit-stack
 walk: the same tree of stable sets, visited by recursion in increasing
-vertex order.
+vertex order, and brute_smallest_last() the reference for the order psi
+walks in. validate() and induced_subgraph() are graph helpers that only
+the tests call.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
+from lmss.bitset import bits, full_mask
 from lmss.graph import Graph
 
 
@@ -94,6 +97,53 @@ def brute_omega(g: Graph) -> set[int]:
     stable = brute_stable_sets(g)
     a = max(bin(s).count("1") for s in stable)
     return {s for s in stable if bin(s).count("1") == a}
+
+
+def brute_smallest_last(g: Graph) -> list[int]:
+    """Remove a vertex of least degree among those left, lowest index first,
+    until none is left; the vertices, last removed first."""
+    left = set(range(g.n))
+    removed = []
+    while left:
+        v = min(left, key=lambda v: (sum(1 for u in left if g.adj[v] >> u & 1), v))
+        removed.append(v)
+        left.remove(v)
+    return removed[::-1]
+
+
+# -- graph helpers that only the tests call ------------------------------------
+
+def validate(g: Graph) -> None:
+    """Check the structural invariants (simple, loopless, symmetric)."""
+    if g.n < 0 or len(g.adj) != g.n:
+        raise ValueError("adjacency length does not match vertex count")
+    fm = full_mask(g.n)
+    for v, row in enumerate(g.adj):
+        if row & ~fm:
+            raise ValueError(f"vertex {v} has neighbors outside the graph")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+        for u in bits(row):
+            if not g.adj[u] >> v & 1:
+                raise ValueError(f"asymmetric edge ({v},{u})")
+
+
+def induced_subgraph(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph spanned by the vertex set ``x`` plus the old-index map.
+
+    New vertex i corresponds to old vertex ``vmap[i]``; relative order is
+    preserved, so inducing on the full vertex set returns the graph itself.
+    """
+    vmap = tuple(bits(x))
+    pos = {old: new for new, old in enumerate(vmap)}
+    adj = []
+    for old in vmap:
+        row = 0
+        for u in bits(g.adj[old] & x):
+            row |= 1 << pos[u]
+        adj.append(row)
+    lab = tuple(g.labels[v] for v in vmap) if g.labels is not None else None
+    return Graph(len(vmap), tuple(adj), lab), vmap
 
 
 # -- literal tier, for cross-checking the DP oracle on tiny graphs ------------

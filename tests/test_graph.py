@@ -20,7 +20,6 @@ from lmss.graph import (
     edges,
     format_vertex_set,
     from_edge_list,
-    induced_subgraph,
     is_complete,
     is_connected,
     is_tree,
@@ -33,9 +32,9 @@ from lmss.graph import (
     random_graph,
     random_tree,
     tree_from_pruefer,
-    validate,
 )
 from lmss.rng import SplitMix64
+from oracles import induced_subgraph, validate
 
 
 def test_from_edge_list_triangle():

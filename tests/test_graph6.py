@@ -19,8 +19,8 @@ from lmss.graph import (
     path,
     random_graph,
     to_graph6,
-    validate,
 )
+from oracles import validate
 
 
 def hand_pack(n, edge_pairs):

@@ -11,12 +11,10 @@ from lmss.graph import (
     complete,
     edge_count,
     edgeless,
-    induced_subgraph,
     is_connected,
     named_fixture,
     parse_vertex_set,
     path,
-    validate,
 )
 from lmss.ops import (
     composition,
@@ -26,6 +24,7 @@ from lmss.ops import (
     zykov_sum,
 )
 from lmss.stable import alpha, enumerate_stable_sets
+from oracles import induced_subgraph, validate
 
 
 def _part_mask(c, i):

@@ -28,12 +28,12 @@ PUBLIC_NAMES = [
     "check_accessibility", "check_exchange", "closed_neighborhood", "complete",
     "composition", "corona", "corpus_graphs", "corpus_upto", "cycle", "disjoint_union",
     "edge_count", "edgeless", "edges", "enumerate_stable_sets", "format_vertex_set",
-    "from_edge_list", "induced_subgraph", "instance_from_graphs", "is_complete",
+    "from_edge_list", "instance_from_graphs", "is_complete",
     "is_connected", "is_greedoid", "is_local_max_stable", "is_stable", "is_tree",
     "labeled_trees", "lexicographic_product", "min_nonempty_size", "named_fixture",
     "omega", "parse_edge_list_text", "parse_graph6", "parse_vertex_set", "path", "psi",
     "random_graph", "random_tree", "run_on_instance", "sweep", "to_graph6",
-    "tree_from_pruefer", "validate", "verify_composition_specializations",
+    "tree_from_pruefer", "verify_composition_specializations",
     "verify_corona_corollary", "verify_corona_lemma", "verify_corona_theorem",
     "verify_nemhauser_trotter", "verify_tree_greedoid", "verify_union_prop",
     "verify_zykov_bound", "verify_zykov_characterization", "zykov_sum",

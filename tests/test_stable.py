@@ -47,6 +47,7 @@ from oracles import (
     brute_closed_neighborhood,
     brute_omega,
     brute_psi,
+    brute_smallest_last,
     brute_stable_sets,
     literal_psi,
     recursive_stable_sets,
@@ -243,9 +244,8 @@ def test_is_local_max_stable_matches_naive_on_every_subset(g):
         assert is_local_max_stable(g, s) == (s in members)
 
 
-def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
-    # star with centre 0 and leaves 1, 2: {0} and {1,2} share N[S] = {0,1,2}
-    star = from_edge_list(3, [(0, 1), (0, 2)])
+def _count_searches(monkeypatch):
+    """The list that (avail, floor) is appended to at each call of _alpha_masked, patched to count."""
     searches = []
     search = stable._alpha_masked
 
@@ -254,6 +254,26 @@ def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
         return search(adj, avail, floor)
 
     monkeypatch.setattr(stable, "_alpha_masked", counted)
+    return searches
+
+
+def _no_search(*args):
+    raise AssertionError("the floored search ran")
+
+
+def _hood_args(g, s):
+    """(adj, S, N(S), repeats) for deciding ``s`` in ``g``, built from S."""
+    once = twice = 0
+    for v in bits(s):
+        twice |= once & g.adj[v]
+        once |= g.adj[v]
+    return g.adj, s, once, twice
+
+
+def test_private_neighbour_reject_then_memo_lower_bound(monkeypatch):
+    # star with centre 0 and leaves 1, 2: {0} and {1,2} share N[S] = {0,1,2}
+    star = from_edge_list(3, [(0, 1), (0, 2)])
+    searches = _count_searches(monkeypatch)
     memo = {}
     # S = {0}: N(S) = {1, 2}, neither with two neighbours in S
     assert stable._decide_local_max(star.adj, 0b001, 0b110, 0, memo, 0) == (0, 1)
@@ -271,14 +291,7 @@ def test_floored_search_reject_then_exact_memo(monkeypatch):
     # vertex of {3, 4} or of {0, 1, 2}, so the 1-for-2 swap settles neither;
     # the greedy pass takes 4 first, then 3, and stays at the floor
     k23 = from_edge_list(5, [(a, b) for a in (3, 4) for b in (0, 1, 2)])
-    searches = []
-    search = stable._alpha_masked
-
-    def counted(adj, avail, floor=None):
-        searches.append((avail, floor))
-        return search(adj, avail, floor)
-
-    monkeypatch.setattr(stable, "_alpha_masked", counted)
+    searches = _count_searches(monkeypatch)
     memo = {}
     # each vertex of N(S) has two or more neighbours in S
     assert stable._decide_local_max(k23.adj, 0b11000, 0b00111, 0b00111, memo, 0) == (0, 1)
@@ -296,11 +309,7 @@ def test_greedy_pass_rejects_without_a_search(monkeypatch):
     # T = {3, 4, 5, 6} beats S by d = 2 with blocking mask N(T) - N[S] = {2}
     g = from_edge_list(7, [(a, b) for a in (0, 1) for b in (3, 4, 5, 6)] + [(2, 6)])
     assert not is_local_max_stable(g, 0b11)
-
-    def no_search(*args):
-        raise AssertionError("the floored search ran")
-
-    monkeypatch.setattr(stable, "_alpha_masked", no_search)
+    monkeypatch.setattr(stable, "_alpha_masked", _no_search)
     memo = {}
     assert stable._decide_local_max(g.adj, 0b11, 0b1111000, 0b1111000, memo, 0) == (0b100, 2)
     assert memo == {0b1111011: (4, False, 0b100)}
@@ -312,18 +321,89 @@ def test_search_skips_the_accepted_ancestors_hood(monkeypatch):
     # the greedy pass there takes 4 and then 2, and stays at the floor
     g = from_edge_list(6, [(3, 4), (0, 4), (0, 2), (1, 2)])
     s, once, twice = 0b110100, 0b001011, 0b000001
-    searches = []
-    search = stable._alpha_masked
-
-    def counted(adj, avail, floor=None):
-        searches.append((avail, floor))
-        return search(adj, avail, floor)
-
-    monkeypatch.setattr(stable, "_alpha_masked", counted)
+    searches = _count_searches(monkeypatch)
     assert stable._decide_local_max(g.adj, s, once, twice, {}, 0b100000) == (0, 1)
     assert searches == [(0b11111, 2)]
     assert stable._decide_local_max(g.adj, s, once, twice, {}, 0) == (0, 1)
     assert searches == [(0b11111, 2), (0b111111, 3)]
+
+
+def test_memo_probe_accepts_above_a_member(monkeypatch):
+    # the path 3-0-2-1: {1} is in Psi, and S = {0, 1} adds 0 with its one
+    # private neighbour 3; the pass over N[S] takes 3 and 2 and stays at the
+    # floor, so the exact entry at N[S - 0] = {1, 2} accepts S
+    g = from_edge_list(4, [(3, 0), (0, 2), (2, 1)])
+    assert is_local_max_stable(g, 0b0011)
+    monkeypatch.setattr(stable, "_alpha_masked", _no_search)
+    memo = {}
+    assert stable._decide_local_max(*_hood_args(g, 0b0010), memo, 0) == (-1, 0)
+    assert memo == {0b0110: (1, True, 0)}
+    assert stable._decide_local_max(*_hood_args(g, 0b0011), memo, 0) == (-1, 0)
+    assert memo == {0b0110: (1, True, 0), 0b1111: (2, True, 0)}
+
+
+def test_memo_probe_rejects_with_a_larger_witness(monkeypatch):
+    # 0 and 1 see 2..5, 6 sees 5, and 7 sees 6 and 2..5: the pass over
+    # N[{0, 1}] takes T = {2, 3, 4, 5}, so {0, 1} stores (4, False, {6, 7}).
+    # S = {0, 1, 6} has 7 as its one private neighbour, and the pass over
+    # N[S] takes 7, 1 and 0; T beats S by 1 inside N[S - 6] = N[{0, 1}],
+    # and 6 is in N(T), so the witness is T with N(T) - N[S] empty
+    g = from_edge_list(8, [(a, b) for a in (0, 1, 7) for b in (2, 3, 4, 5)] + [(5, 6), (6, 7)])
+    assert not is_local_max_stable(g, 0b1000011)
+    monkeypatch.setattr(stable, "_alpha_masked", _no_search)
+    memo = {}
+    assert stable._decide_local_max(*_hood_args(g, 0b11), memo, 0) == (0b11000000, 2)
+    assert memo == {0b111111: (4, False, 0b11000000)}
+    assert stable._decide_local_max(*_hood_args(g, 0b1000011), memo, 0) == (0, 1)
+    assert memo[0b11111111] == (4, False, 0)
+
+
+@pytest.mark.parametrize("extra,decided,entry,blk", [
+    # {0, 1, 2} is in Psi with N[{0, 1, 2}] = N[{5, 6}]
+    ([], 0b111, (3, True, 0), 0),
+    # 7 sees 1 and 3 sees 2: {5, 6} is rejected by T = {0, 1, 2}, whose
+    # blocking mask {3, 7} meets N[S] in 3, the private neighbour of 4
+    ([(1, 7), (2, 3)], 0b1100000, (3, False, 0b10001000), 0b10000000),
+])
+def test_memo_probe_extends_the_witness(monkeypatch, extra, decided, entry, blk):
+    # 6 sees 0 and 1, 5 sees 0 and 2, and 4 sees 3: S = {4, 5, 6} has one
+    # private neighbour per vertex, and the pass over N[S] takes 6, 5 and 4;
+    # the stable set T = {0, 1, 2} of N[S - 4] = {0, 1, 2, 5, 6} ties with S,
+    # and 4 is not in N(T), so T + 4 beats S by 1
+    g = from_edge_list(8, [(6, 0), (6, 1), (5, 0), (5, 2), (4, 3)] + extra)
+    assert not is_local_max_stable(g, 0b1110000)
+    memo = {}
+    stable._decide_local_max(*_hood_args(g, decided), memo, 0)
+    assert memo == {0b1100111: entry}
+    monkeypatch.setattr(stable, "_alpha_masked", _no_search)
+    assert stable._decide_local_max(*_hood_args(g, 0b1110000), memo, 0) == (blk, 1)
+    assert memo[0b1111111] == (4, False, blk)
+
+
+def test_memo_probe_searches_when_w_blocks_the_witness(monkeypatch):
+    # as above, with 4 seeing 2 and 3 and 7 seeing 1: T = {0, 1, 2} in
+    # N[S - 4] ties with S = {4, 5, 6}, but 4 is in N(T), so T + 4 is not
+    # stable and no other entry settles S: the search runs
+    g = from_edge_list(8, [(6, 0), (6, 1), (5, 0), (5, 2), (4, 2), (4, 3), (1, 7)])
+    memo = {}
+    assert stable._decide_local_max(*_hood_args(g, 0b1100000), memo, 0) == (0b10010000, 1)
+    assert memo == {0b1100111: (3, False, 0b10010000)}
+    searches = _count_searches(monkeypatch)
+    blk, d = stable._decide_local_max(*_hood_args(g, 0b1110000), memo, 0)
+    assert searches == [(0b1111111, 3)]
+    assert d >= 1 and not is_local_max_stable(g, 0b1110000)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=150)
+def test_smallest_last_matches_min_degree_removal(g):
+    assert stable._smallest_last(g.adj) == brute_smallest_last(g)
+
+
+@pytest.mark.parametrize("g", [cycle(70), complete(70), disjoint_union([complete(40), path(40)]).graph],
+                         ids=["C70", "K70", "K40+P40"])
+def test_smallest_last_past_one_word(g):
+    assert stable._smallest_last(g.adj) == brute_smallest_last(g)
 
 
 def test_psi_p4_frozen():
@@ -408,11 +488,7 @@ def _stream_filter(g):
     memo = {}
 
     def kept(s):
-        once = twice = 0
-        for v in bits(s):
-            twice |= once & g.adj[v]
-            once |= g.adj[v]
-        return stable._decide_local_max(g.adj, s, once, twice, memo, 0)[0] < 0
+        return stable._decide_local_max(*_hood_args(g, s), memo, 0)[0] < 0
 
     return SetFamily(g.n, filter(kept, enumerate_stable_sets(g)))
 
@@ -472,15 +548,17 @@ def graphs_with_a_cycle(draw, max_n=16):
 
 
 def _walked_graph(g, decisions):
-    """The graph the walk decided on, asserted to be ``g`` relabelled by decreasing degree.
+    """The graph the walk decided on, asserted to be ``g`` relabelled in reverse smallest-last order.
 
     Vertex v of ``g`` is vertex i of the walked graph when v is the i-th
-    vertex by decreasing degree, ties in index order.
+    vertex of brute_smallest_last(g): vertices of least degree among those
+    left are removed one at a time, lowest index first, and numbered from
+    the last removed.
     """
     adjs = {adj for adj, *_ in decisions}
     assert len(adjs) == 1
     walked = Graph(g.n, adjs.pop())
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = brute_smallest_last(g)
     at = {v: i for i, v in enumerate(order)}
     assert walked == from_edge_list(g.n, [(at[u], at[v]) for u, v in edges(g)])
     return walked
@@ -574,17 +652,10 @@ def test_complete_swap_accepts_without_a_search(g):
     local_max = {s: is_local_max_stable(g, s) for s in stable_sets}
     members = [s for s in stable_sets if local_max[s]]
     search = stable._alpha_masked
-
-    def no_search(*args):
-        raise AssertionError("the floored search ran")
-
-    stable._alpha_masked = no_search
+    stable._alpha_masked = _no_search
     try:
         for s in stable_sets:
-            once = twice = 0
-            for v in bits(s):
-                twice |= once & g.adj[v]
-                once |= g.adj[v]
+            _, _, once, twice = _hood_args(g, s)
             for a in members:
                 if a & ~s:
                     continue

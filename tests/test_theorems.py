@@ -17,7 +17,6 @@ from lmss.graph import (
     path,
     random_tree,
     to_graph6,
-    validate,
 )
 from lmss.greedoid import ACCESSIBILITY_FAIL
 from lmss.ops import corona, disjoint_union, zykov_sum
@@ -42,7 +41,7 @@ from lmss.theorems import (
     verify_zykov_bound,
     verify_zykov_characterization,
 )
-from oracles import brute_psi
+from oracles import brute_psi, validate
 
 
 def fig5_host():
