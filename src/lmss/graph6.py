@@ -13,9 +13,35 @@ turns them into the base64 alphabet and back, and ``binascii`` moves the
 table, those bytes hold the bit stream least significant bit first, so
 column j is the low j bits of an int and needs no reversal. Encode ORs
 the columns into an accumulator and writes out its whole bytes once it
-holds more than ``_WINDOW`` bits; decode refills a window of
-``_WINDOW`` bits as the columns use it up. No Python loop runs per bit or
-per 6-bit group, and no int grows with the body.
+holds more than ``_WINDOW`` bits. No Python loop runs per bit or per
+6-bit group, and no int grows with the body.
+
+Decode runs every check and the base64 step first, so a malformed input
+fails with its offset before anything sized by n is allocated. One loop
+then takes the columns from a window of ``_WINDOW`` bits that it refills
+as they use it up, and stores column j, the neighbours of j below j, as
+``adj[j]``. The neighbours above each vertex are the transpose of those
+columns. For n <= 64 decode builds them with one bit-matrix transpose of
+an m x m tile, m the smallest of 8, 16, 32 and 64 with n <= m: a
+``struct`` packs the columns as m-bit rows of one int t, bit (r, c) at
+r*m + c, and for s = m/2, ..., 1 a delta swap (Warren, Hacker's Delight,
+2nd ed., section 7-3) ``x = ((t >> d) ^ t) & mask; t ^= x ^ (x << d)``
+with d = (m - 1)s exchanges each bit (r, c) with r & s == 0 and
+c & s != 0, which the mask holds, with bit (r + s, c - s). After the
+log2(m) rounds, row i of t holds the neighbours of i above i. That is
+3 to 6 big-int rounds in place of one Python step per edge. Measured
+against the scatter (2 vCPUs, CPython 3.11.7): on the bench's G(n, p),
+n <= 40 and about 90 edges, decode takes 0.59-0.64 of the time, and on
+``complete(64)`` about a tenth. The smallest tile keeps the fixed cost
+of the packing and the rounds low, but tiny sparse graphs still pay
+1-3 us more than the scatter did (``edgeless(1)`` 1.3 -> 2.7 us,
+``random_tree(15, 3)`` 5.4 -> 7 us).
+
+For n > 64 a second pass scatters each column bit by bit into the rows
+it names. Tiling such an n into 64 x 64 blocks was measured and not
+taken: dense graphs gained (``complete(2000)`` 0.47 -> 0.014 s), but
+sparse ones lost (``path(5000)`` 0.015 -> 0.047 s), and nothing reads
+graphs that large today.
 
 An optional ">>graph6<<" header is tolerated on input and never written.
 """
@@ -23,6 +49,7 @@ An optional ">>graph6<<" header is tolerated on input and never written.
 from __future__ import annotations
 
 import binascii
+import struct
 
 HEADER = b">>graph6<<"
 
@@ -33,6 +60,25 @@ _FROM_G6 = bytes(_B64[b - 63] if 63 <= b <= 126 else ord("*") for b in range(256
 _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _WINDOW = 4096
 _WINDOW_BYTES = _WINDOW // 8
+
+
+def _transpose_rounds(m: int) -> tuple[tuple[int, int], ...]:
+    """(distance, mask) of the delta swaps that transpose an m x m bit tile."""
+    rounds = []
+    s = m // 2
+    while s:
+        # bit (r, c) sits at r*m + c: the swap trades (r, c) in the mask, r & s == 0
+        # and c & s != 0, with (r + s, c - s), (m - 1)s bits above it
+        row = sum(1 << c for c in range(m) if c & s)
+        rounds.append(((m - 1) * s, sum(row << r * m for r in range(m) if not r & s)))
+        s //= 2
+    return tuple(rounds)
+
+
+_TILE_SIZES = [(m, struct.Struct(f"<{m}{code}"), _transpose_rounds(m))
+               for m, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))]
+# by n <= 64, the smallest tile that holds n columns
+_TILES = [next(t for t in _TILE_SIZES if n <= t[0]) for n in range(65)]
 
 
 class Graph6Error(ValueError):
@@ -128,7 +174,8 @@ def decode(data: bytes) -> tuple[int, list[int]]:
     if len(data) > off + nbytes:
         raise Graph6Error("trailing garbage after adjacency body", off + nbytes)
     raw = binascii.a2b_base64(b64 + b"A" * (-nbytes % 4)).translate(_REVERSE)
-    adj = [0] * n
+    tile = _TILES[n] if n <= 64 else None
+    adj = [0] * (tile[0] if tile else n)
     acc = have = pos = 0
     for j in range(1, n):
         # a column can be longer than the window
@@ -136,14 +183,22 @@ def decode(data: bytes) -> tuple[int, list[int]]:
             acc |= int.from_bytes(raw[pos : pos + _WINDOW_BYTES], "little") << have
             pos += _WINDOW_BYTES
             have += _WINDOW
-        col = acc & ((1 << j) - 1)
+        adj[j] = acc & ((1 << j) - 1)
         acc >>= j
         have -= j
-        if col:
-            adj[j] = col
-            bit = 1 << j
-            while col:
-                low = col & -col
-                adj[low.bit_length() - 1] |= bit
-                col ^= low
+    if tile:
+        _, packer, rounds = tile
+        t = int.from_bytes(packer.pack(*adj), "little")
+        for d, mask in rounds:
+            x = ((t >> d) ^ t) & mask
+            t ^= x ^ (x << d)
+        rows = packer.unpack(t.to_bytes(packer.size, "little"))
+        return n, [c | r for c, r in zip(adj[:n], rows)]
+    for j in range(1, n):
+        col = adj[j]
+        bit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return n, adj

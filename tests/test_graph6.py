@@ -63,13 +63,25 @@ def test_encoding_matches_hand_packing(n, edges):
     assert to_graph6(g) == hand_pack(n, edges)
 
 
+# each edge of decode's 8-, 16-, 32- and 64-bit transpose tiles and the size past it;
 # 4,095 body bits at n = 91 and 4,186 at n = 92, around the codec's 4,096-bit window
-@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 91, 92, 130])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63, 64, 65, 91, 92, 130])
 def test_size_prefix_and_window_boundaries_match_hand_packing(n):
     for g in (random_graph(n, 1, 2, 1000 + n), complete(n), edgeless(n)):
         edges = {(i, j) for j in range(n) for i in range(j) if g.adj[j] >> i & 1}
         assert to_graph6(g) == hand_pack(n, edges)
         assert parse_graph6(hand_pack(n, edges)) == g
+
+
+# n up to 70 crosses every transpose tile and the per-edge path past n = 64
+@given(st.integers(0, 70), st.integers(0, 100), st.integers(0, 2**32))
+@settings(max_examples=200)
+def test_decode_matches_hand_packing_on_either_side_of_the_tiles(n, percent, seed):
+    g = random_graph(n, percent, 100, seed)
+    edges = {(i, j) for j in range(n) for i in range(j) if g.adj[j] >> i & 1}
+    back = parse_graph6(hand_pack(n, edges))
+    assert back == g
+    validate(back)
 
 
 def test_columns_longer_than_the_window_round_trip():
