@@ -587,12 +587,17 @@ def psi(g: Graph) -> SetFamily:
     members = _forest_psi(adj)
     if members is None:
         # walk the graph relabelled in reverse smallest-last order, vertex
-        # order[i] as i, so the highest index has least degree in g
+        # order[i] as i, so the highest index has least degree in g; a row
+        # with more neighbours than non-neighbours is relabelled through its
+        # complement, so no row costs more than n/2 generator steps
         order = _smallest_last(adj)
         at = [0] * g.n
         for i, v in enumerate(order):
             at[v] = 1 << i
-        walked = tuple(sum(at[u] for u in bits(adj[v])) for v in order)
+        full = full_mask(g.n)
+        walked = tuple(sum(at[u] for u in bits(adj[v])) if 2 * adj[v].bit_count() <= g.n
+                       else full ^ at[v] ^ sum(at[u] for u in bits(full ^ adj[v] ^ 1 << v))
+                       for v in order)
         members = list(_stable_walk(walked, memo={}, label=[1 << v for v in order]))
     return SetFamily(g.n, members)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
-from .bitset import bits
+from .bitset import bits, full_mask
 from .graph import (
     Graph,
     complete,
@@ -116,8 +116,8 @@ def verify_tree_greedoid(t: Graph, seed: int | None = None) -> TheoremReport:
 
 def _lifted_product(c: CompositeGraph, families: list[SetFamily]) -> set[int]:
     acc = {0}
-    for i, fam in enumerate(families):
-        acc = {a | c.lift(m, i) for a in acc for m in fam}
+    for off, fam in zip(c.offsets, families):
+        acc = {a | m << off for a in acc for m in fam}
     return acc
 
 
@@ -187,7 +187,7 @@ def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -
     }
     if all(detail["part_greedoids"]) and len(non_complete) == 1:
         k = non_complete[0]
-        lifted = SetFamily(z.graph.n, (z.lift(m, k) for m in part_fams[k]))
+        lifted = SetFamily(z.graph.n, (m << z.offsets[k] for m in part_fams[k]))
         rhs = lifted == fam
         detail["family_matches_part"] = rhs
     witness = None if lhs == rhs else {"greedoid": lhs, "conditions": detail}
@@ -198,41 +198,56 @@ def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -
 # -- corona ---------------------------------------------------------------------
 
 def _corona_failure(c: CompositeGraph, x: Graph, part_fams: list[SetFamily],
-                    complete_part: list[bool], s: int) -> dict | None:
-    """The first clause the vertex set s fails, or None: (iii) each part
-    intersection lies in the part's family, then (ii) each host vertex of s has
-    a complete private graph and meets every neighboring private graph."""
-    for i, pf in enumerate(part_fams):
-        if c.restrict(s, i) not in pf:
-            return {"part": "iii", "operand": i}
-    for vi in bits(s & c.host_vertices):
-        if not complete_part[vi]:
-            return {"part": "ii", "host_vertex": vi, "reason": "private graph not complete"}
-        for vk in bits(x.adj[vi]):
-            if c.restrict(s, vk) == 0:
-                return {"part": "ii", "host_vertex": vi,
-                        "reason": f"no intersection with part {vk}"}
-    return None
+                    complete_part: list[bool]) -> Callable[[int], dict | None]:
+    """The predicate of the corona c = x∘{H_i}: for a vertex set s, the first
+    clause s fails, or None. (iii) each part intersection lies in the part's
+    family, then (ii) each host vertex of s has a complete private graph and
+    meets every neighboring private graph. The layout is read once here, so
+    each call only shifts and masks s."""
+    parts = [(off, full_mask(h.n), frozenset(pf.members))
+             for off, h, pf in zip(c.offsets, c.operands, part_fams)]
+    around = [[(vk, full_mask(c.operands[vk].n) << c.offsets[vk]) for vk in bits(row)]
+              for row in x.adj]
+    host = c.host_vertices
+
+    def failure(s: int) -> dict | None:
+        for i, (off, mask, members) in enumerate(parts):
+            if s >> off & mask not in members:
+                return {"part": "iii", "operand": i}
+        for vi in bits(s & host):
+            if not complete_part[vi]:
+                return {"part": "ii", "host_vertex": vi, "reason": "private graph not complete"}
+            for vk, mask in around[vi]:
+                if not s & mask:
+                    return {"part": "ii", "host_vertex": vi,
+                            "reason": f"no intersection with part {vk}"}
+        return None
+
+    return failure
 
 
 def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> TheoremReport:
     """Parts (i)-(iv): part families embed, members restrict into part
     families and force complete private graphs with covered neighborhoods,
-    and the structural test agrees with the definition on every stable set."""
+    and the structural test agrees with the definition on every stable set.
+
+    Part (iv) runs only once (ii) and (iii) have passed every member through
+    the same predicate, so a member cannot mismatch there: it tests the
+    predicate on the stable sets outside the family alone."""
     if x.n < 2:
         raise ValueError("lemma requires a host with at least 2 vertices")
     c = corona(x, hs)
     g = c.graph
     fam = psi(g)
     part_fams = [psi(h) for h in hs]
-    complete_part = [is_complete(h) for h in hs]
+    failure = _corona_failure(c, x, part_fams, [is_complete(h) for h in hs])
     witness = None
     stats = {"family_size": len(fam), "host_size": x.n}
 
     # (i) each part family lifts into the corona family
-    for i, pf in enumerate(part_fams):
+    for i, (off, pf) in enumerate(zip(c.offsets, part_fams)):
         for m in pf:
-            if c.lift(m, i) not in fam:
+            if m << off not in fam:
                 witness = {"part": "i", "operand": i, "set": _set_list(m)}
                 break
         if witness:
@@ -241,25 +256,25 @@ def verify_corona_lemma(x: Graph, hs: list[Graph], seed: int | None = None) -> T
     # (ii) and (iii) necessary conditions on every member
     if witness is None:
         for s in fam:
-            clause = _corona_failure(c, x, part_fams, complete_part, s)
+            clause = failure(s)
             if clause:
                 # "part" is already first, so the set follows it
                 witness = {"part": clause["part"], "set": _set_list(s), **clause}
                 break
 
-    # (iv) the structural test matches definitional membership on all stable
-    # sets; the walk order is not canonical, so every set is checked
+    # (iv) no stable set outside the family passes the structural test; the
+    # walk order is not canonical, so every set is checked
     checked = 0
     if witness is None:
         members = set(fam.members)
         mismatches = []
         for s in enumerate_stable_sets(g):
             checked += 1
-            if (_corona_failure(c, x, part_fams, complete_part, s) is None) != (s in members):
+            if s not in members and failure(s) is None:
                 mismatches.append(s)
         if mismatches:
             s = min(mismatches, key=_canonical)
-            witness = {"part": "iv", "set": _set_list(s), "structural": s not in members}
+            witness = {"part": "iv", "set": _set_list(s), "structural": True}
     stats["stable_sets_checked"] = checked
     return _report("L3_CORONA", (x, hs), witness, stats, seed)
 

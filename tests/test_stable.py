@@ -418,6 +418,25 @@ def test_psi_complete_graphs():
         assert fam == omega_with_empty(complete(n))
 
 
+def test_psi_relabels_dense_rows_through_their_complement(monkeypatch):
+    # a row of complete(n) has n - 1 neighbours and no non-neighbour, so the
+    # relabel steps through none of them; the forest check's walk over vertex
+    # 0's row takes n - 1 steps (relabelling each row by its neighbours would
+    # add n * (n - 1))
+    n = 300
+    steps = 0
+
+    def counted(mask):
+        nonlocal steps
+        for v in bits(mask):
+            steps += 1
+            yield v
+
+    monkeypatch.setattr(stable, "bits", counted)
+    assert len(psi(complete(n))) == n + 1
+    assert steps <= n
+
+
 def omega_with_empty(g):
     return SetFamily(g.n, (0,) + omega(g).members)
 

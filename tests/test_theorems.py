@@ -3,7 +3,10 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _strategies import graphs, nonempty_graphs
 import lmss.theorems as theorems
 from lmss.graph import (
     complete,
@@ -240,7 +243,7 @@ def test_corona_failing_clause_fig5_bullets(text, clause):
     s = parse_vertex_set(text, named_fixture("CORONA_FIG5"))
     assert is_stable(c.graph, s)
     assert theorems._corona_failure(
-        c, x, [psi(h) for h in hs], [is_complete(h) for h in hs], s) == clause
+        c, x, [psi(h) for h in hs], [is_complete(h) for h in hs])(s) == clause
 
 
 def test_l3_witness_keys_keep_their_order(monkeypatch):
@@ -300,14 +303,22 @@ def test_l3_part_iv_witness_is_canonically_first(monkeypatch):
     assert report.witness == {"part": "iv", "set": [0, 3], "structural": True}
 
 
-def test_corona_characterization_matches_definition_everywhere():
-    x, hs = fig5_host(), FIG5_PARTS()
+@st.composite
+def coronas(draw):
+    """A host on 2-3 vertices with one private graph of 1-3 vertices each."""
+    x = draw(graphs(min_n=2, max_n=3))
+    return x, [draw(nonempty_graphs(max_n=3)) for _ in range(x.n)]
+
+
+@given(coronas())
+@example((fig5_host(), FIG5_PARTS()))
+@settings(max_examples=60)
+def test_corona_characterization_matches_definition_everywhere(instance):
+    x, hs = instance
     c = corona(x, hs)
-    part_fams = [psi(h) for h in hs]
-    complete_part = [is_complete(h) for h in hs]
+    failure = theorems._corona_failure(c, x, [psi(h) for h in hs], [is_complete(h) for h in hs])
     for s in enumerate_stable_sets(c.graph):
-        structural = theorems._corona_failure(c, x, part_fams, complete_part, s) is None
-        assert structural == is_local_max_stable(c.graph, s)
+        assert (failure(s) is None) == is_local_max_stable(c.graph, s)
 
 
 def test_corona_characterization_requires_two_host_vertices():
