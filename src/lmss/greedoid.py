@@ -8,10 +8,21 @@ so verdicts are reproducible test anchors.
 Both axioms are read from one pass over the members that builds the
 extension map ext(Y) = {v not in Y : Y + v is a member} for every member
 Y: each member Z ORs v into ext(Z - v) for every v whose removal stays in
-the family, and Z is accessible when some such v exists. A pair (X, Y)
-with |X| = |Y| + 1 then fails exchange exactly when X & ext(Y) == 0, and
-members of one size with equal ext masks fail against the same X, so
-only the first of each group (the canonically smallest) is tried.
+the family, and Z is accessible when some such v exists. The map is a
+list aligned with the members in canonical order, and each removal costs
+one hash probe: a dict from member to position answers whether Z - v is a
+member and where its ext entry sits. A pair (X, Y) with |X| = |Y| + 1
+then fails exchange exactly when X & ext(Y) == 0, and members of one size
+with equal ext masks fail against the same X, so only the first of each
+group (the canonically smallest) is tried.
+
+Canonical order sorts by size first, so each size level is one slice of
+the members and of ext, found once by bisecting on member size. A
+level's groups are its slice of ext deduplicated in first-occurrence
+order, and a level is tried only when the level one size smaller exists.
+A failing group is mapped back to its first member by searching for its
+mask in that smaller level's slice alone, since a member of another size
+may share the mask.
 
 The groups of one size are tried all at once (Lamport's multiple byte
 processing with full-word instructions, on Python ints): their ext masks
@@ -26,6 +37,7 @@ canonically smallest Y that X fails against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bitset import bits
@@ -64,62 +76,63 @@ def _require_empty(f: SetFamily) -> None:
         raise ValueError("family violates the contract: the empty set is not a member")
 
 
-def _extension_map(f: SetFamily) -> tuple[dict[int, int], int | None]:
+def _extension_map(f: SetFamily) -> tuple[list[int], int | None]:
     """ext(Y) for every member Y, and the first inaccessible member (or None).
 
-    Members are visited in canonical order, so the first nonempty member
-    with no removable element is the canonically smallest one.
+    ``ext[i]`` belongs to ``f.members[i]``. Members are visited in canonical
+    order, so the first nonempty member with no removable element is the
+    canonically smallest one.
     """
     _require_empty(f)
-    ext = dict.fromkeys(f.members, 0)
+    members = f.members
+    index = dict(zip(members, range(len(members)))).get
+    ext = [0] * len(members)
     stuck = None
-    for z in f.members:
+    for z in members:
         accessible = not z
         rest = z
         while rest:
             low = rest & -rest
             rest ^= low
-            y = z ^ low
-            if y in ext:
-                ext[y] |= low
+            i = index(z ^ low)
+            if i is not None:
+                ext[i] |= low
                 accessible = True
         if not accessible and stuck is None:
             stuck = z
     return ext, stuck
 
 
-def _exchange_failure(ext: dict[int, int], universe: int) -> tuple[int, int] | None:
+def _exchange_failure(members: tuple[int, ...], ext: list[int], universe: int) -> tuple[int, int] | None:
     """The canonically smallest (X, Y) with |X| = |Y| + 1 and X & ext(Y) == 0.
 
-    ``ext`` is keyed by the members in canonical order, each a subset of
-    ``range(universe)``.
+    ``members`` are in canonical order, each a subset of ``range(universe)``,
+    and ``ext[i]`` is the ext mask of ``members[i]``.
     """
-    # size -> {ext mask: first member with it}; insertion follows canonical order
-    groups: dict[int, dict[int, int]] = {}
-    for y, e in ext.items():
-        groups.setdefault(y.bit_count(), {}).setdefault(e, y)
     # one w-bit field per group, with a spare top bit (see the module docstring)
     nbytes = universe // 8 + 1
     w = 8 * nbytes
     one = (1).to_bytes(nbytes, "little")
-    size = level = None
-    for x in ext:
-        k = x.bit_count()
-        if k != size:
-            size, level = k, groups.get(k - 1)
-            if level is not None:
-                packed = int.from_bytes(b"".join(e.to_bytes(nbytes, "little") for e in level), "little")
-                rep = int.from_bytes(one * len(level), "little")
-                high = rep << (w - 1)
-                low = high - rep
-        if level is None:
-            continue
-        # a field's top bit is set iff X meets that group's ext mask
-        hit = ((packed & x * rep) + low) & high
-        if hit != high:
-            zero = high ^ hit
-            first = (zero & -zero).bit_length() // w - 1
-            return x, list(level.values())[first]
+    lo = 0  # members[lo:mid] is the level below members[mid:hi]
+    mid = bisect_right(members, 0, key=int.bit_count)
+    while mid < len(members):
+        k = members[mid].bit_count()
+        hi = bisect_right(members, k, mid, key=int.bit_count)
+        if members[lo].bit_count() == k - 1:
+            # ext mask -> None, in first-occurrence (canonical) order
+            level = dict.fromkeys(ext[lo:mid])
+            packed = int.from_bytes(b"".join(e.to_bytes(nbytes, "little") for e in level), "little")
+            rep = int.from_bytes(one * len(level), "little")
+            high = rep << (w - 1)
+            low = high - rep
+            for x in members[mid:hi]:
+                # a field's top bit is set iff X meets that group's ext mask
+                hit = ((packed & x * rep) + low) & high
+                if hit != high:
+                    zero = high ^ hit
+                    mask = list(level)[(zero & -zero).bit_length() // w - 1]
+                    return x, members[ext.index(mask, lo, mid)]
+        lo, mid = mid, hi
     return None
 
 
@@ -130,7 +143,7 @@ def check_accessibility(f: SetFamily) -> int | None:
 
 def check_exchange(f: SetFamily) -> tuple[int, int] | None:
     """None on pass, else the canonically smallest failing pair (X, Y)."""
-    return _exchange_failure(_extension_map(f)[0], f.universe)
+    return _exchange_failure(f.members, _extension_map(f)[0], f.universe)
 
 
 def is_greedoid(f: SetFamily) -> GreedoidVerdict:
@@ -138,7 +151,7 @@ def is_greedoid(f: SetFamily) -> GreedoidVerdict:
     ext, stuck = _extension_map(f)
     if stuck is not None:
         return GreedoidVerdict(ACCESSIBILITY_FAIL, stuck, None, len(f), f.universe)
-    exc = _exchange_failure(ext, f.universe)
+    exc = _exchange_failure(f.members, ext, f.universe)
     if exc is not None:
         return GreedoidVerdict(EXCHANGE_FAIL, exc[0], exc[1], len(f), f.universe)
     return GreedoidVerdict(GREEDOID, None, None, len(f), f.universe)
