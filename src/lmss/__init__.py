@@ -12,7 +12,6 @@ from .graph import (
     cycle,
     edge_count,
     edgeless,
-    edges,
     format_vertex_set,
     from_edge_list,
     is_complete,

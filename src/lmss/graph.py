@@ -34,9 +34,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={edge_count(self)})"
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def label(self, v: int) -> str:
         if self.labels is not None and self.labels[v] is not None:
             return self.labels[v]
@@ -61,12 +58,6 @@ def from_edge_list(
     if lab is not None and len(lab) != n:
         raise ValueError("labels length does not match vertex count")
     return Graph(n, tuple(adj), lab)
-
-
-def edges(g: Graph) -> Iterator[tuple[int, int]]:
-    for v in range(g.n):
-        for u in bits(g.adj[v] >> (v + 1)):
-            yield (v, u + v + 1)
 
 
 def edge_count(g: Graph) -> int:

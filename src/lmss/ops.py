@@ -28,22 +28,6 @@ class CompositeGraph:
     offsets: tuple[int, ...]
     host_vertices: int = 0
 
-    def restrict(self, s: int, i: int) -> int:
-        """S intersected with operand i, expressed in operand coordinates."""
-        self._check_index(i)
-        return (s >> self.offsets[i]) & full_mask(self.operands[i].n)
-
-    def lift(self, m: int, i: int) -> int:
-        """An operand-i vertex set expressed in composite coordinates."""
-        self._check_index(i)
-        if m & ~full_mask(self.operands[i].n):
-            raise ValueError(f"set does not fit operand {i}")
-        return m << self.offsets[i]
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < len(self.operands):
-            raise ValueError(f"operand index {i} out of range (0..{len(self.operands) - 1})")
-
 
 def _check_operands(parts: list[Graph]) -> None:
     for i, g in enumerate(parts):

@@ -167,7 +167,15 @@ def verify_zykov_characterization(parts: list[Graph], seed: int | None = None) -
     all part families are greedoids, and the sum's family equals that part's.
 
     When every part is complete the sum is complete too and the family must
-    be the singletons plus the empty set (trivially a greedoid)."""
+    be the singletons plus the empty set (trivially a greedoid).
+
+    With exactly one non-complete part k, the third condition
+    (``family_matches_part``) follows from the membership rule behind L4:
+    a nonempty S lies in one part, and it is in the sum's family iff it is
+    in that part's family and |S| >= alpha of every other part. The other
+    parts are complete, so every nonempty member of part k's family
+    qualifies, and no singleton of a complete part does, since part k has
+    alpha >= 2. So that clause can fail only if ``psi`` is wrong."""
     z = zykov_sum(parts)
     fam = psi(z.graph)
     az = alpha(z.graph)

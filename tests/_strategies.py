@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from lmss.graph import Graph, edges, from_edge_list, tree_from_pruefer
+from lmss.graph import Graph, from_edge_list, tree_from_pruefer
+from oracles import edge_pairs
 
 
 @st.composite
@@ -37,7 +38,7 @@ def forests(draw, min_n: int = 0, max_n: int = 12, max_deleted: int | None = Non
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     if n == 0:
         return from_edge_list(0, [])
-    tree_edges = list(edges(draw(trees(n, n))))
+    tree_edges = edge_pairs(draw(trees(n, n)))
     deleted = (draw(st.sets(st.sampled_from(tree_edges), max_size=max_deleted))
                if tree_edges else set())
     return from_edge_list(n, [e for e in tree_edges if e not in deleted])

@@ -11,8 +11,8 @@ Two tiers, both separate from the library's code paths:
 recursive_stable_sets() is the reference for the library's explicit-stack
 walk: the same tree of stable sets, visited by recursion in increasing
 vertex order, and brute_smallest_last() the reference for the order psi
-walks in. validate() and induced_subgraph() are graph helpers that only
-the tests call.
+walks in. validate(), induced_subgraph() and edge_pairs() are graph
+helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -148,20 +148,20 @@ def induced_subgraph(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
 
 # -- literal tier, for cross-checking the DP oracle on tiny graphs ------------
 
-def _edge_pairs(g: Graph) -> list[tuple[int, int]]:
+def edge_pairs(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
 
 
 def literal_psi(g: Graph) -> set[int]:
-    edge_pairs = _edge_pairs(g)
+    pairs = edge_pairs(g)
     vertices = range(g.n)
 
     def stable(subset: frozenset[int]) -> bool:
-        return all(not (u in subset and v in subset) for u, v in edge_pairs)
+        return all(not (u in subset and v in subset) for u, v in pairs)
 
     def neighborhood(subset: frozenset[int]) -> frozenset[int]:
         closed = set(subset)
-        for u, v in edge_pairs:
+        for u, v in pairs:
             if u in subset:
                 closed.add(v)
             if v in subset:

@@ -29,7 +29,7 @@ from oracles import induced_subgraph, validate
 
 def _part_mask(c, i):
     """Operand i's vertices in composite coordinates."""
-    return c.lift(full_mask(c.operands[i].n), i)
+    return full_mask(c.operands[i].n) << c.offsets[i]
 
 
 def test_union_of_singletons():
@@ -80,7 +80,7 @@ def test_corona_tiny_cases():
     p4ish = corona(path(2), [complete(1), complete(1)])
     g = p4ish.graph
     assert g.n == 4 and edge_count(g) == 3 and is_connected(g)
-    assert sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
+    assert sorted(row.bit_count() for row in g.adj) == [1, 1, 2, 2]
 
 
 def test_corona_alpha_sum():
@@ -125,29 +125,22 @@ def test_lexicographic_product():
         lexicographic_product(path(2), edgeless(0))
 
 
-def test_restrict_fig5():
+def test_offsets_fig5():
     c = corona(_fig5_host(), [complete(3), complete(2), path(3), complete(1)])
     g = named_fixture("CORONA_FIG5")
     s = parse_vertex_set("{x,z,v4}", g)
-    assert c.restrict(s, 2) == 0b101  # the two path ends in part coordinates
+    assert s >> c.offsets[2] & full_mask(3) == 0b101  # the two path ends in part coordinates
     assert s & c.host_vertices == 0b1000
-    assert c.restrict(s, 0) == 0
-    with pytest.raises(ValueError, match="out of range"):
-        c.restrict(s, 4)
+    assert s >> c.offsets[0] & full_mask(3) == 0
 
 
-def test_restrict_union_second_part():
-    u = disjoint_union([path(3), path(3)])
-    assert u.restrict(0b000001, 1) == 0
-
-
-def test_lift_round_trip_and_bounds():
+def test_offsets_union():
     u = disjoint_union([path(3), complete(2)])
-    assert u.lift(0b101, 0) == 0b101
-    assert u.lift(0b10, 1) == 0b10000
-    assert u.restrict(u.lift(0b10, 1), 1) == 0b10
-    with pytest.raises(ValueError, match="does not fit"):
-        u.lift(0b100, 1)
+    assert u.offsets == (0, 3)
+    assert 0b000001 >> u.offsets[1] & full_mask(2) == 0
+    assert 0b101 << u.offsets[0] == 0b101
+    assert 0b10 << u.offsets[1] == 0b10000
+    assert 0b10000 >> u.offsets[1] & full_mask(2) == 0b10
 
 
 @given(graph_lists(count_min=2, count_max=3, max_n=4))
@@ -210,8 +203,10 @@ def test_corona_restrict_partition(host, parts_pool):
         s = rnd.getrandbits(c.graph.n)
         rebuilt = s & c.host_vertices
         for i in range(len(hs)):
-            rebuilt |= c.lift(c.restrict(s, i), i)
+            rebuilt |= s & _part_mask(c, i)
         assert rebuilt == s
+    sizes = [c.host_vertices.bit_count()] + [_part_mask(c, i).bit_count() for i in range(len(hs))]
+    assert sum(sizes) == c.graph.n  # the host and the parts cover each vertex once
 
 
 @given(graphs(min_n=1, max_n=3), graph_lists(count_min=1, count_max=3, max_n=3))
@@ -264,4 +259,4 @@ def test_stable_sets_of_zykov_live_in_one_part():
     z = zykov_sum([path(3), path(3), complete(2)])
     for s in enumerate_stable_sets(z.graph):
         if s:
-            assert sum(1 for i in range(len(z.operands)) if z.restrict(s, i)) == 1
+            assert sum(1 for i in range(len(z.operands)) if s & _part_mask(z, i)) == 1

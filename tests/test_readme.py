@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "THEOREM_IDS", "TheoremReport", "accessibility_chain", "alpha",
     "check_accessibility", "check_exchange", "closed_neighborhood", "complete",
     "composition", "corona", "corpus_graphs", "corpus_upto", "cycle", "disjoint_union",
-    "edge_count", "edgeless", "edges", "enumerate_stable_sets", "format_vertex_set",
+    "edge_count", "edgeless", "enumerate_stable_sets", "format_vertex_set",
     "from_edge_list", "instance_from_graphs", "is_complete",
     "is_connected", "is_greedoid", "is_local_max_stable", "is_stable", "is_tree",
     "labeled_trees", "lexicographic_product", "min_nonempty_size", "named_fixture",

@@ -21,7 +21,6 @@ from lmss.graph import (
     complete,
     cycle,
     edgeless,
-    edges,
     from_edge_list,
     named_fixture,
     parse_vertex_set,
@@ -49,6 +48,7 @@ from oracles import (
     brute_psi,
     brute_smallest_last,
     brute_stable_sets,
+    edge_pairs,
     literal_psi,
     recursive_stable_sets,
 )
@@ -536,7 +536,7 @@ def forests_plus_triangle(draw):
     """A forest with a disjoint triangle added: a cycle with fewer edges than vertices."""
     f = draw(forests(max_n=9))
     n = f.n
-    pairs = list(edges(f)) + [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+    pairs = edge_pairs(f) + [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
     return from_edge_list(n + 3, pairs)
 
 
@@ -544,7 +544,7 @@ def forests_plus_triangle(draw):
 def trees_plus_chord(draw):
     """A tree with one more edge: exactly as many edges as vertices."""
     t = draw(trees(min_n=3, max_n=12))
-    tree_edges = set(edges(t))
+    tree_edges = set(edge_pairs(t))
     chords = [(i, j) for j in range(t.n) for i in range(j) if (i, j) not in tree_edges]
     return from_edge_list(t.n, sorted(tree_edges) + [draw(st.sampled_from(chords))])
 
@@ -579,7 +579,7 @@ def _walked_graph(g, decisions):
     walked = Graph(g.n, adjs.pop())
     order = brute_smallest_last(g)
     at = {v: i for i, v in enumerate(order)}
-    assert walked == from_edge_list(g.n, [(at[u], at[v]) for u, v in edges(g)])
+    assert walked == from_edge_list(g.n, [(at[u], at[v]) for u, v in edge_pairs(g)])
     return walked
 
 
@@ -689,7 +689,7 @@ def test_complete_swap_accepts_without_a_search(g):
 
 def _assert_psi_commutes(g, perm):
     # the walk runs on g relabelled by degree and yields sets in g's labels
-    h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+    h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in edge_pairs(g)])
     moved = (sum(1 << perm[v] for v in bits(m)) for m in psi(g))
     assert psi(h) == SetFamily(g.n, moved)
 
@@ -739,7 +739,7 @@ def bipartite_graphs(draw, max_n=14):
         cross = [(i, j) for j in range(n) for i in range(j) if side[i] != side[j]]
         g = from_edge_list(n, [(0, 1), (1, 2), (2, 3), (0, 3)] + draw(st.lists(st.sampled_from(cross), unique=True)))
     perm = draw(st.permutations(range(g.n)))
-    return from_edge_list(g.n, [(perm[i], perm[j]) for i, j in edges(g)])
+    return from_edge_list(g.n, [(perm[i], perm[j]) for i, j in edge_pairs(g)])
 
 
 @given(bipartite_graphs())
