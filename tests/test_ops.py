@@ -134,13 +134,20 @@ def test_offsets_fig5():
     assert s >> c.offsets[0] & full_mask(3) == 0
 
 
-def test_offsets_union():
+def test_restrict_union_second_part():
+    u = disjoint_union([path(3), path(3)])
+    assert u.offsets == (0, 3)
+    assert 0b000001 >> u.offsets[1] & full_mask(3) == 0
+
+
+def test_lift_round_trip_and_bounds():
     u = disjoint_union([path(3), complete(2)])
     assert u.offsets == (0, 3)
-    assert 0b000001 >> u.offsets[1] & full_mask(2) == 0
     assert 0b101 << u.offsets[0] == 0b101
     assert 0b10 << u.offsets[1] == 0b10000
     assert 0b10000 >> u.offsets[1] & full_mask(2) == 0b10
+    # a set wider than its part spills past the composite's vertices
+    assert (0b100 << u.offsets[1]) >> u.graph.n != 0
 
 
 @given(graph_lists(count_min=2, count_max=3, max_n=4))
