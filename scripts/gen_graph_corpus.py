@@ -3,7 +3,9 @@
 
 One file per vertex count n in 1..7, one graph6 line per isomorphism
 class, canonical representative chosen as the minimum edge bitmask over
-all vertex permutations, lines sorted by that mask.
+all vertex permutations, lines sorted by that mask. Bit j(j-1)/2 + i of
+the mask is the pair i < j, which is graph6's column order, so the bits
+of column j are the low j bits of the mask shifted right by j(j-1)/2.
 
 Classes are built by vertex extension: every class on n vertices arises
 from some class on n-1 vertices plus a new vertex with some neighborhood,
@@ -11,19 +13,22 @@ so extending all representatives by all 2^(n-1) neighborhoods and
 deduplicating canonical forms is exhaustive. The per-n class counts are
 asserted against the known sequence 1, 2, 4, 11, 34, 156, 1044.
 
-Needs numpy (vectorizes the min-over-permutations step). Run from the
-repo root with the package installed:  python scripts/gen_graph_corpus.py
+The minimum over the n! permutations is taken one bit at a time, with
+one bit per permutation in an int: planes[b][t] holds the permutations
+that map pair-bit b to bit t. From the top bit down, the permutations
+still tied for the minimum keep bit t clear if any of them can, so each
+bit costs one OR per edge and one AND.
+
+Stdlib only. Run from the repo root:  PYTHONPATH=src python scripts/gen_graph_corpus.py
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import pathlib
 import sys
 
-import numpy as np
-
-from lmss.graph import Graph, from_edge_list
 from lmss.graph6 import encode
 
 MAX_N = 7
@@ -37,35 +42,30 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def permutation_weights(n: int) -> np.ndarray:
-    """weights[p, b] = the mask bit produced by source pair-bit b under perm p."""
-    k = n * (n - 1) // 2
+def permutation_planes(n: int) -> list[list[int]]:
+    """planes[b][t] = the permutations (bit p for the p-th) mapping pair-bit b to bit t."""
     pairs = [(i, j) for j in range(n) for i in range(j)]
-    perms = list(itertools.permutations(range(n)))
-    weights = np.zeros((len(perms), k), dtype=np.uint64)
-    for pi, perm in enumerate(perms):
-        for b, (i, j) in enumerate(pairs):
-            a, c = perm[i], perm[j]
-            if a > c:
-                a, c = c, a
-            weights[pi, b] = np.uint64(1) << np.uint64(pair_index(a, c))
-    return weights
+    planes = [[0] * len(pairs) for _ in pairs]
+    for p, perm in enumerate(itertools.permutations(range(n))):
+        for row, (i, j) in zip(planes, pairs):
+            a, c = sorted((perm[i], perm[j]))
+            row[pair_index(a, c)] |= 1 << p
+    return planes
 
 
-def canonical_mask(mask: int, k: int, weights: np.ndarray) -> int:
-    if mask == 0:
-        return 0
-    cols = [b for b in range(k) if mask >> b & 1]
-    return int(weights[:, cols].sum(axis=1, dtype=np.uint64).min())
-
-
-def mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = []
-    for j in range(n):
-        for i in range(j):
-            if mask >> pair_index(i, j) & 1:
-                pairs.append((i, j))
-    return from_edge_list(n, pairs)
+def canonical_mask(mask: int, planes: list[list[int]], tied: int) -> int:
+    """The minimum image of mask; tied starts as all permutations."""
+    rows = [row for b, row in enumerate(planes) if mask >> b & 1]
+    best = 0
+    for t in reversed(range(len(planes))):
+        ones = 0
+        for row in rows:
+            ones |= row[t]
+        if tied & ~ones:
+            tied &= ~ones
+        else:
+            best |= 1 << t
+    return best
 
 
 def main() -> int:
@@ -73,21 +73,19 @@ def main() -> int:
     reps: list[int] = [0]  # the single graph on one vertex, as an edge mask
     for n in range(1, MAX_N + 1):
         if n > 1:
-            k = n * (n - 1) // 2
-            weights = permutation_weights(n)
+            planes = permutation_planes(n)
+            everyone = (1 << math.factorial(n)) - 1
             base_bits = (n - 1) * (n - 2) // 2
             canon: set[int] = set()
             for old in reps:
                 for nb in range(1 << (n - 1)):
                     candidate = old | (nb << base_bits)
-                    canon.add(canonical_mask(candidate, k, weights))
+                    canon.add(canonical_mask(candidate, planes, everyone))
             reps = sorted(canon)
         assert len(reps) == EXPECTED_COUNTS[n], (n, len(reps))
         path = OUT_DIR / f"all_graphs_n{n}.g6"
-        lines = []
-        for mask in reps:
-            g = mask_to_graph(n, mask)
-            lines.append(encode(g.n, g.adj).decode("ascii"))
+        lines = [encode(n, tuple(mask >> pair_index(0, j) for j in range(n))).decode("ascii")
+                 for mask in reps]
         path.write_text("\n".join(lines) + "\n")
         print(f"n={n}: {len(reps)} classes -> {path}")
     return 0

@@ -155,10 +155,17 @@ def _read_graph_text(text: str) -> Graph:
 
 
 def _load_file(path: str) -> Graph:
-    if path == "-":
-        return _read_graph_text(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as fh:
-        return _read_graph_text(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except OSError as exc:
+        # an input that cannot be read is an input error; main reports
+        # no other OSError as one
+        raise ValueError(str(exc)) from exc
+    return _read_graph_text(text)
 
 
 def _graph_from_flags(args) -> Graph:
@@ -434,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -529,6 +529,25 @@ def test_file_and_stdin_inputs(tmp_path, capsys, monkeypatch):
     assert json.loads(out2)["n"] == 4
 
 
+def test_unreadable_input_file_exits_2(tmp_path, capsys):
+    # a missing path and a directory: stderr is the OS message, as open gives it
+    for path in (tmp_path / "missing.g6", tmp_path):
+        with pytest.raises(OSError) as exc:
+            open(path, encoding="ascii")
+        code, out, err = run_cli(capsys, "psi", "--file", str(path))
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+def test_an_error_inside_a_command_is_no_input_error(capsys, monkeypatch):
+    # TimeoutError is an OSError, as an alarm handler inside a command raises it
+    def timed_out(g):
+        raise TimeoutError
+
+    monkeypatch.setattr("lmss.cli.psi", timed_out)
+    with pytest.raises(TimeoutError):
+        main(["psi", "--fixture", "W_FIG1"])
+
+
 def test_graph6_file_holds_one_graph(tmp_path, capsys):
     two = tmp_path / "two.g6"
     two.write_text("Dhc\nGARBAGE!!\n")

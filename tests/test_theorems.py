@@ -1,5 +1,6 @@
 """Theorem verifiers: fixture instances, sweeps, witness machinery, corpus."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -68,6 +69,24 @@ def test_corpus_counts_match_known_sequence():
     assert len(corpus_upto(CORPUS_MAX_N)) == sum(expected.values())
     with pytest.raises(ValueError):
         corpus_graphs(8)
+
+
+def test_corpus_lines_are_least_masks_in_increasing_order():
+    # the corpus's canonical rule, by brute force over all n! vertex orders:
+    # the pair i < j is bit j(j-1)/2 + i of the edge mask, each line is the
+    # order with the least mask, and the masks strictly increase down a file;
+    # n = 7 (3.5 s this way) is left to the corpus script's regeneration
+    for n in range(1, 7):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        bit = {pair: b for b, pair in enumerate(pairs)}
+        relabel = [[1 << bit[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+                   for p in itertools.permutations(range(n))]
+        masks = []
+        for g in corpus_graphs(n):
+            edges = [b for b, (i, j) in enumerate(pairs) if g.adj[i] >> j & 1]
+            masks.append(sum(1 << b for b in edges))
+            assert masks[-1] == min(sum(row[b] for b in edges) for row in relabel), (n, to_graph6(g))
+        assert masks == sorted(set(masks)), n
 
 
 def test_corpus_graphs_round_trip():
