@@ -19,19 +19,18 @@ candidates after v that miss N(v), so each stable set is reached exactly
 once and non-stable sets never materialize; the child gets N(S) | N(v) and
 repeats | (N(S) & N(v)), so no N[S] is rebuilt. Children are pushed lowest
 vertex first, so the highest is popped first: the stream follows no
-canonical order. psi() walks the graph relabelled in reverse smallest-last
-order (Matula and Beck, "Smallest-last ordering and clustering and graph
-coloring algorithms"): it removes a vertex of least degree among those
-left, the lowest index on ties, until none is left, and numbers the
-vertices from the last removed. Vertex i then has least degree in the
-subgraph on 0..i, so at most d of its neighbours come before it, for d the
-degeneracy of the graph; the child for v takes only the later vertices
-that miss N(v), so it leaves out all of N(v) but those few. Eppstein,
-Loeffler and Strash ("Listing All Maximal Cliques in Sparse Graphs in
-Near-Optimal Time") list cliques in this order. Each entry also carries
-its set in the caller's labels, ORing in label[v] as it adds v, so members
-come back without a remap; enumerate_stable_sets() and omega() walk in
-index order.
+canonical order. Every walk runs on the graph relabelled in reverse
+smallest-last order (Matula and Beck, "Smallest-last ordering and
+clustering and graph coloring algorithms"): it removes a vertex of least
+degree among those left, the lowest index on ties, until none is left, and
+numbers the vertices from the last removed. Vertex i then has least degree
+in the subgraph on 0..i, so at most d of its neighbours come before it,
+for d the degeneracy of the graph; the child for v takes only the later
+vertices that miss N(v), so it leaves out all of N(v) but those few.
+Eppstein, Loeffler and Strash ("Listing All Maximal Cliques in Sparse
+Graphs in Near-Optimal Time") list cliques in this order. Each entry also
+carries its set in the caller's labels, ORing in label[v] as it adds v, so
+members come back without a remap.
 The root carries a starting need k with the mask of all vertices, so the
 walk yields exactly the stable sets with at least k vertices:
 enumerate_stable_sets() starts from need 0 and omega() from need alpha.
@@ -47,8 +46,8 @@ exceeds |S| without computing alpha(N[S]):
 * otherwise one greedy pass takes the highest vertex left in N[S], drops
   it and its neighbours, and repeats; any stable set of N[S] larger than S
   is a witness T, so S is rejected when the pass takes more than |S|
-  vertices. In psi()'s order vertex i has least degree in the subgraph on
-  0..i, so the pass takes vertices of small degree first, at a few bit
+  vertices. In the walk's order vertex i has least degree in the subgraph
+  on 0..i, so the pass takes vertices of small degree first, at a few bit
   operations each; on the 100 benchmark G(n, p) graphs it rejects half of
   the sets that reach it;
 * otherwise the memo (below) is probed at N[S - w] for each w in S, which
@@ -80,10 +79,10 @@ follows from T' alone, since N(A) lies inside N[S]. The swap scans only
 S - A: on a vertex v of A it would make (A - v) + {a, b}, which beats A
 inside N[A]; the probe takes w from S - A, whose private neighbours the
 swap has checked. A vertex outside N[A] sees only S - A. So when the
-swap finds nothing, S is accepted without a search if |S - A| <= 1, or if
-|S - A| = 2 and no vertex outside N[A] sees both vertices of S - A: each
-vertex of S - A with its private neighbours is then a clique, since the
-swap found no two non-adjacent ones, and these |S - A| cliques cover
+swap finds nothing, S is accepted without a search if no vertex outside
+N[A] sees two vertices of S - A, which always holds when |S - A| <= 1:
+each vertex of S - A with its private neighbours is then a clique, since
+the swap found no two non-adjacent ones, and these |S - A| cliques cover
 N[S] - N[A]. Each entry carries as base N[A] for its nearest accepted ancestor A,
 or 0 for A empty at the root: an accepted S gives its children base N[S],
 and a rejected S passes its own base down, as does every entry with a
@@ -137,10 +136,14 @@ vertex can use that child. Each vertex then takes one of five states:
 
 A vertex in S takes OK, NEED and CLR children, and is IU when one of them
 is NEED or CLR; a vertex outside S takes IF, IU, OK and CLR children. A
-root may take any state but NEED, and components multiply. psi() tries
-this DP first, bottom-up after one iterative DFS per component, and runs
-the walk instead when a DFS meets a cycle; a failed DFS costs at most one
-pass over the vertices.
+root may take any state but NEED, and components multiply. The walk's
+order shows a forest: each subgraph of a forest has a vertex of degree at
+most 1, so in reverse smallest-last order no vertex has two neighbours
+before it, while the last vertex of a cycle in any order has two. In a
+forest the one neighbour before a vertex is its parent, and a vertex with
+none is a root. psi() computes the order once, tries this DP first,
+bottom-up from the last vertex in the order, and walks the graph in the
+same order when some vertex has two neighbours before it.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ def is_stable(g: Graph, s: int) -> bool:
 
 def enumerate_stable_sets(g: Graph) -> Iterator[int]:
     """Every stable set of ``g`` exactly once, the empty set included."""
-    return _stable_walk(g.adj)
+    return _stable_walk(*_relabel(g.adj, _smallest_last(g.adj)))
 
 
 def _clique_cover_bound(adj: tuple[int, ...], avail: int) -> int:
@@ -303,7 +306,7 @@ def omega(g: Graph) -> SetFamily:
     alpha and drops a set below it, with every set below that, when a
     clique cover of its candidates has fewer cliques than it still needs.
     """
-    return SetFamily(g.n, _stable_walk(g.adj, alpha(g)))
+    return SetFamily(g.n, _stable_walk(*_relabel(g.adj, _smallest_last(g.adj)), alpha(g)))
 
 
 def _decide_local_max(
@@ -319,10 +322,10 @@ def _decide_local_max(
     there gives T = A + T', whose blocking mask is N(T') - N[S] since N(A)
     lies inside N[S]. Before the search a greedy pass repeatedly takes the
     highest vertex left in N[S] - N[A] and drops it with its neighbours;
-    in psi's reverse smallest-last order that is one of least degree among
-    the vertices up to it. Any stable set there larger than S - A is such a
-    T', so when the pass finds one S is rejected with it and the search
-    does not run. When the pass fails, the memo is probed at N[S - w] for
+    in the walk's reverse smallest-last order that is one of least degree
+    among the vertices up to it. Any stable set there larger than S - A is
+    such a T', so when the pass finds one S is rejected with it and the
+    search does not run. When the pass fails, the memo is probed at N[S - w] for
     each w in S - A, lowest first, as the module docstring sets out: an
     exact entry of |S| - 1 accepts S, and an entry of a >= |S| rejects it
     with T + w when w is not in the entry's blocking mask, or with T when
@@ -360,7 +363,7 @@ def _decide_local_max(
     # no vertex of S - A has two non-adjacent privates, and a vertex outside
     # N[A] sees only S - A; if none sees two vertices there, each vertex of
     # S - A with its privates is a clique, and these cover N[S] - N[A]
-    if u <= 1 or u == 2 and not twice & ~base:
+    if not twice & ~base:
         memo[hood] = (k, True, 0)
         return -1, 0
     # one greedy pass, highest vertex first: any stable set of N[S] - N[A]
@@ -410,32 +413,29 @@ def _decide_local_max(
 
 
 def _stable_walk(
-    adj: tuple[int, ...], need: int = 0, memo: dict[int, tuple[int, bool, int]] | None = None,
-    label: Sequence[int] | None = None,
+    adj: tuple[int, ...], label: Sequence[int], need: int = 0,
+    memo: dict[int, tuple[int, bool, int]] | None = None,
 ) -> Iterator[int]:
     """Every stable set with at least ``need`` vertices once or, given a memo, those in Psi.
 
-    Each set is yielded as the OR of ``label[v]`` over its vertices v, or
-    as itself without ``label``. Each stack entry (S, candidates, N(S),
-    repeats, need, mask, base, out) is a stable set with the vertices that
-    may still join it, and S in the yielded labels as out; a child's masks
-    are one OR and one AND away from its parent's. The root carries
-    ``need`` with the mask of all vertices and base 0. While need is
-    positive the walk yields and decides nothing; it branches only on the
-    candidates b_1 < b_2 < ... in the mask, and the child for b_i leaves
-    out b_1..b_i and N(b_i), keeps the candidates below b_i that are not in
-    the mask, and needs one vertex fewer. An entry is dropped when the
-    candidates in its mask cannot hold a stable set of size need: fewer
-    vertices, or for need > 1 a clique cover with fewer cliques. At need 0 without a memo S
-    is yielded and every candidate branched on. With a memo S is decided by
-    _decide_local_max() against its base, N[A] for its nearest accepted
-    ancestor A: a kept S is yielded likewise and gives its children base
-    N[S], and a rejected S takes the returned (mask, d) as its mask and
-    need and keeps its base.
+    Each set is yielded as the OR of ``label[v]`` over its vertices v.
+    Each stack entry (S, candidates, N(S), repeats, need, mask, base, out)
+    is a stable set with the vertices that may still join it, and S in the
+    yielded labels as out; a child's masks are one OR and one AND away from
+    its parent's. The root carries ``need`` with the mask of all vertices
+    and base 0. While need is positive the walk yields and decides nothing;
+    it branches only on the candidates b_1 < b_2 < ... in the mask, and the
+    child for b_i leaves out b_1..b_i and N(b_i), keeps the candidates below
+    b_i that are not in the mask, and needs one vertex fewer. An entry is
+    dropped when the candidates in its mask cannot hold a stable set of size
+    need: fewer vertices, or for need > 1 a clique cover with fewer cliques.
+    At need 0 without a memo S is yielded and every candidate branched on.
+    With a memo S is decided by _decide_local_max() against its base, N[A]
+    for its nearest accepted ancestor A: a kept S is yielded likewise and
+    gives its children base N[S], and a rejected S takes the returned
+    (mask, d) as its mask and need and keeps its base.
     """
     full = full_mask(len(adj))
-    if label is None:
-        label = [1 << v for v in range(len(adj))]
     stack = [(0, full, 0, 0, need, full, 0, 0)]
     while stack:
         s, candidates, once, twice, need, mask, base, out = stack.pop()
@@ -479,36 +479,28 @@ def _product(xs: list[int], ys: list[int]) -> list[int]:
     return [x | y for x in xs for y in ys]
 
 
-def _forest_psi(adj: tuple[int, ...]) -> list[int] | None:
+def _forest_psi(adj: tuple[int, ...], order: Sequence[int]) -> list[int] | None:
     """The members of Psi of a forest, or None when the graph has a cycle.
 
-    One iterative DFS per component orders the vertices; each vertex, taken
-    after all of its children, holds per state the traces on its subtree of
-    the sets in that state, and folds them into its parent's lists.
+    One pass over ``order`` takes the neighbour before each vertex as its
+    parent, and stops at the first vertex with two; in psi's reverse
+    smallest-last order only a graph with a cycle has one. Each vertex,
+    taken from the last in the order, holds per state the traces on its
+    subtree of the sets in that state, and folds them into its parent's
+    lists.
     """
-    n = len(adj)
-    parent_bit = [0] * n
-    order: list[int] = []
+    parent_bit = [0] * len(adj)
     seen = 0
-    for root in range(n):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            children = adj[v] & ~parent_bit[v]
-            if children & seen:
-                return None
-            seen |= children
-            for u in bits(children):
-                parent_bit[u] = 1 << v
-                stack.append(u)
+    for v in order:
+        before = adj[v] & seen
+        if before & (before - 1):
+            return None
+        parent_bit[v] = before
+        seen |= 1 << v
     # states[v] holds, per state of v (IF, IU, OK, NEED, CLR, as free, used,
     # ok, need, clr), the traces on the folded part of v's subtree of the
     # sets in that state; v's children fold in before v is taken
-    states: list = [[[1 << v], [], [], [], [0]] for v in range(n)]
+    states: list = [[[1 << v], [], [], [], [0]] for v in range(len(adj))]
     family = [0]
     for v in reversed(order):
         free, used, ok, need, clr = states[v]
@@ -581,24 +573,29 @@ def _smallest_last(adj: tuple[int, ...]) -> list[int]:
     return removed
 
 
+def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """``adj`` relabelled with vertex order[i] as i, and label[i] = 1 << order[i].
+
+    A row with more neighbours than non-neighbours is relabelled through its
+    complement, so no row costs more than n/2 generator steps.
+    """
+    n = len(adj)
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = 1 << i
+    full = full_mask(n)
+    walked = tuple(sum(at[u] for u in bits(adj[v])) if 2 * adj[v].bit_count() <= n
+                   else full ^ at[v] ^ sum(at[u] for u in bits(full ^ adj[v] ^ 1 << v))
+                   for v in order)
+    return walked, [1 << v for v in order]
+
+
 def psi(g: Graph) -> SetFamily:
     """The family of all local maximum stable sets, the empty set included."""
-    adj = g.adj
-    members = _forest_psi(adj)
+    order = _smallest_last(g.adj)
+    members = _forest_psi(g.adj, order)
     if members is None:
-        # walk the graph relabelled in reverse smallest-last order, vertex
-        # order[i] as i, so the highest index has least degree in g; a row
-        # with more neighbours than non-neighbours is relabelled through its
-        # complement, so no row costs more than n/2 generator steps
-        order = _smallest_last(adj)
-        at = [0] * g.n
-        for i, v in enumerate(order):
-            at[v] = 1 << i
-        full = full_mask(g.n)
-        walked = tuple(sum(at[u] for u in bits(adj[v])) if 2 * adj[v].bit_count() <= g.n
-                       else full ^ at[v] ^ sum(at[u] for u in bits(full ^ adj[v] ^ 1 << v))
-                       for v in order)
-        members = list(_stable_walk(walked, memo={}, label=[1 << v for v in order]))
+        members = _stable_walk(*_relabel(g.adj, order), memo={})
     return SetFamily(g.n, members)
 
 

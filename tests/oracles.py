@@ -10,8 +10,9 @@ Two tiers, both separate from the library's code paths:
 
 recursive_stable_sets() is the reference for the library's explicit-stack
 walk: the same tree of stable sets, visited by recursion in increasing
-vertex order, and brute_smallest_last() the reference for the order psi
-walks in. validate(), induced_subgraph() and edge_pairs() are graph
+vertex order, and brute_smallest_last() the reference for the one vertex
+order of lmss.stable, which every walk runs in and the forest DP reads
+parents from. validate(), induced_subgraph() and edge_pairs() are graph
 helpers that only the tests call.
 """
 

@@ -80,6 +80,10 @@ def test_equality_and_hash_ignore_labels():
     assert w != edgeless(7)
 
 
+def test_repr_gives_vertex_and_edge_counts():
+    assert repr(path(3)) == "Graph(n=3, m=2)"
+
+
 def test_graph_never_equals_a_non_graph():
     w = named_fixture("W_FIG1")
     for other in (None, 7, "W_FIG1", (w.n, w.adj), SimpleNamespace(n=w.n, adj=w.adj)):

@@ -420,9 +420,8 @@ def test_psi_complete_graphs():
 
 def test_psi_relabels_dense_rows_through_their_complement(monkeypatch):
     # a row of complete(n) has n - 1 neighbours and no non-neighbour, so the
-    # relabel steps through none of them; the forest check's walk over vertex
-    # 0's row takes n - 1 steps (relabelling each row by its neighbours would
-    # add n * (n - 1))
+    # relabel steps through none of them (relabelling each row by its
+    # neighbours would take n * (n - 1) steps)
     n = 300
     steps = 0
 
@@ -549,10 +548,11 @@ def trees_plus_chord(draw):
     return from_edge_list(t.n, sorted(tree_edges) + [draw(st.sampled_from(chords))])
 
 
-@given(st.one_of(forests_plus_triangle(), trees_plus_chord()))
+@given(st.one_of(forests_plus_triangle(), trees_plus_chord()), st.data())
 @settings(max_examples=120)
-def test_graphs_with_a_cycle_take_the_walk(g):
-    assert stable._forest_psi(g.adj) is None
+def test_graphs_with_a_cycle_take_the_walk(g, data):
+    # in any vertex order, the last vertex of a cycle has two neighbours before it
+    assert stable._forest_psi(g.adj, data.draw(st.permutations(range(g.n)))) is None
     fam, decisions = _psi_walked(g)
     assert decisions
     assert set(fam.members) == brute_psi(g)
@@ -564,6 +564,30 @@ def graphs_with_a_cycle(draw, max_n=16):
     n = draw(st.integers(3, max_n))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     return from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n)))
+
+
+def _most_neighbours_before(g):
+    """The largest number of neighbours a vertex has before it in _smallest_last's order."""
+    seen = most = 0
+    for v in stable._smallest_last(g.adj):
+        most = max(most, (g.adj[v] & seen).bit_count())
+        seen |= 1 << v
+    return most
+
+
+@given(forests(max_n=20))
+@settings(max_examples=100)
+def test_smallest_last_order_gives_a_forest_one_parent(g):
+    # each subgraph of a forest has a vertex of degree <= 1, so every vertex
+    # has at most one neighbour before it, its parent in the forest DP
+    assert _most_neighbours_before(g) <= 1
+
+
+@given(st.one_of(forests_plus_triangle(), trees_plus_chord(), graphs_with_a_cycle()))
+@settings(max_examples=100)
+def test_smallest_last_order_shows_a_cycle(g):
+    # the last vertex of a cycle in the order has two neighbours before it
+    assert _most_neighbours_before(g) >= 2
 
 
 def _walked_graph(g, decisions):
@@ -627,7 +651,7 @@ def test_walk_from_a_root_need_yields_the_larger_stable_sets(g, data):
     # with a root need k and no memo, the walk yields each stable set with
     # at least k vertices once, and no other set
     k = data.draw(st.integers(0, brute_alpha(g) + 1))
-    seen = list(stable._stable_walk(g.adj, k))
+    seen = list(stable._stable_walk(g.adj, [1 << v for v in range(g.n)], k))
     assert len(seen) == len(set(seen))
     assert sorted(seen) == [s for s in brute_stable_sets(g) if s.bit_count() >= k]
 
@@ -665,8 +689,8 @@ def test_accepted_subset_splits_alpha_of_the_hood(g):
 @settings(max_examples=60, deadline=None)
 def test_complete_swap_accepts_without_a_search(g):
     # after the 1-for-2 swap finds nothing, S is accepted without a search
-    # when |S - A| <= 1, or |S - A| = 2 and no vertex outside N[A] sees both
-    # vertices of S - A; A is the empty set (base 0) or any member inside S
+    # when no vertex outside N[A] sees two vertices of S - A; A is the empty
+    # set (base 0) or any member inside S
     stable_sets = brute_stable_sets(g)
     local_max = {s: is_local_max_stable(g, s) for s in stable_sets}
     members = [s for s in stable_sets if local_max[s]]
@@ -679,12 +703,21 @@ def test_complete_swap_accepts_without_a_search(g):
                 if a & ~s:
                     continue
                 base = brute_closed_neighborhood(g, a)
-                u = (s & ~a).bit_count()
-                if u <= 1 or u == 2 and not twice & ~base:
+                if not twice & ~base:
                     blk, d = stable._decide_local_max(g.adj, s, once, twice, {}, base)
                     assert (d == 0) == local_max[s]
     finally:
         stable._alpha_masked = search
+
+
+def test_private_cliques_accept_without_a_search(monkeypatch):
+    # three disjoint triangles and S = {0, 3, 6}: each vertex of S has its two
+    # adjacent private neighbours, so the three triangles cover N[S]
+    g = from_edge_list(9, [(t + i, t + j) for t in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))])
+    monkeypatch.setattr(stable, "_alpha_masked", _no_search)
+    memo = {}
+    assert stable._decide_local_max(*_hood_args(g, 0b001001001), memo, 0) == (-1, 0)
+    assert memo == {0b111111111: (3, True, 0)}
 
 
 def _assert_psi_commutes(g, perm):
@@ -918,3 +951,8 @@ def test_set_family_dedup_and_api():
     assert [m for m in fam if m.bit_count() == 1] == [0b100]
     assert fam != SetFamily(4, fam.members)
     assert (psi(path(2)) == 3) is False
+    # equal families hash equal, so either one keys a dict
+    same = SetFamily(3, [0b100, 0, 0b11])
+    assert hash(same) == hash(fam)
+    assert {fam: "fam"}[same] == "fam"
+    assert len({fam, same, SetFamily(3, [0])}) == 2

@@ -303,12 +303,12 @@ def test_l3_part_i_witness_catches_planted_bug(monkeypatch):
 
 
 def test_l3_part_iv_witness_is_canonically_first(monkeypatch):
-    # the walk yields {0,4} before {0,3}; both hold a host vertex, so the part
+    # the walk yields {0,4} before {1,3}; both hold a host vertex, so the part
     # families still embed and part (iv) is the first to fail
-    x, hs = path(2), [complete(1), complete(2)]
+    x, hs = path(2), [complete(2), complete(1)]
     g = corona(x, hs).graph
     real_psi = theorems.psi
-    dropped = {0b10001, 0b01001}
+    dropped = {0b10001, 0b01010}
 
     def broken_psi(h):
         fam = real_psi(h)
@@ -318,9 +318,9 @@ def test_l3_part_iv_witness_is_canonically_first(monkeypatch):
 
     monkeypatch.setattr(theorems, "psi", broken_psi)
     walk = [s for s in theorems.enumerate_stable_sets(g) if s in dropped]
-    assert walk == [0b10001, 0b01001]
+    assert walk == [0b10001, 0b01010]
     report = verify_corona_lemma(x, hs)
-    assert report.witness == {"part": "iv", "set": [0, 3], "structural": True}
+    assert report.witness == {"part": "iv", "set": [1, 3], "structural": True}
 
 
 @st.composite
